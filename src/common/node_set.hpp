@@ -10,6 +10,10 @@
 // replaces the shuffle-then-deal bin construction with one strided gather
 // into a flat arena.
 //
+// The word loops below are the set algebra's only implementation. Their
+// per-word cost is the popcount, so on x86-64 the build requires hardware
+// POPCNT (tcast_common compiles with -mpopcnt; see the check below).
+//
 // Determinism contract: nothing in here draws randomness except
 // `random_equal_partition_into`, which consumes exactly the Fisher-Yates
 // draw sequence of `RngStream::shuffle` (same draws, same resulting
@@ -24,8 +28,11 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "common/simd_kernels.hpp"
 #include "common/types.hpp"
+
+#if defined(__x86_64__) && !defined(__POPCNT__)
+#error "tcast requires hardware popcount on x86-64: compile with -mpopcnt"
+#endif
 
 namespace tcast {
 
@@ -90,34 +97,22 @@ class NodeSet {
     return true;
   }
 
-  /// Images at or below this many words (512 nodes) take the inlined scalar
-  /// loop: the out-of-line SIMD dispatch costs more than the loop itself at
-  /// small universes, and every variant is bit-identical anyway.
-  static constexpr std::size_t kInlineWords = 8;
-
   /// Do two word images share a member? Lengths may differ: a shorter image
-  /// simply has no members beyond its last word. Wide images dispatch to
-  /// the SIMD kernel layer (common/simd_kernels.hpp).
+  /// simply has no members beyond its last word.
   static bool intersects(std::span<const Word> a, std::span<const Word> b) {
     const std::size_t n = a.size() < b.size() ? a.size() : b.size();
-    if (n <= kInlineWords) {
-      for (std::size_t i = 0; i < n; ++i)
-        if (a[i] & b[i]) return true;
-      return false;
-    }
-    return simd::words_intersect(a.data(), b.data(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      if (a[i] & b[i]) return true;
+    return false;
   }
 
   static std::size_t intersection_count(std::span<const Word> a,
                                         std::span<const Word> b) {
     const std::size_t n = a.size() < b.size() ? a.size() : b.size();
-    if (n <= kInlineWords) {
-      std::size_t total = 0;
-      for (std::size_t i = 0; i < n; ++i)
-        total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-      return total;
-    }
-    return simd::words_and_popcount(a.data(), b.data(), n);
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
+    return total;
   }
 
   /// Smallest member, or kNoNode when empty.
@@ -174,15 +169,10 @@ class NodeSet {
   std::size_t remove_words(std::span<const Word> other) {
     const std::size_t n =
         other.size() < words_.size() ? other.size() : words_.size();
-    std::size_t removed;
-    if (n <= kInlineWords) {
-      removed = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        removed += static_cast<std::size_t>(std::popcount(words_[i] & other[i]));
-        words_[i] &= ~other[i];
-      }
-    } else {
-      removed = simd::words_andnot_count(words_.data(), other.data(), n);
+    std::size_t removed = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      removed += static_cast<std::size_t>(std::popcount(words_[i] & other[i]));
+      words_[i] &= ~other[i];
     }
     count_ -= removed;
     return removed;

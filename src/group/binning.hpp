@@ -83,14 +83,6 @@ class BinAssignment {
     return {words_.data() + i * words_per_bin_, words_per_bin_};
   }
 
-  /// The whole word image as one contiguous arena (bin i at stride
-  /// i·words_per_bin()) — the layout the batched SIMD bin-count kernel
-  /// consumes. Only meaningful when has_bin_words().
-  std::span<const NodeSet::Word> bin_words_arena() const {
-    TCAST_DCHECK(has_bin_words());
-    return {words_.data(), bin_count() * words_per_bin_};
-  }
-
   /// Monotone globally-unique content version, bumped by every assign_*
   /// call (including on a freshly default-constructed assignment). Channels
   /// that cache per-announcement derived state (ExactChannel's batched bin

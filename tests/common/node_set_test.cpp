@@ -2,9 +2,16 @@
 // word-boundary cases for the selection helpers (first_member / nth_member)
 // and a draw-compatibility proof for random_equal_partition_into: it must
 // reproduce the historical shuffle-then-deal binning bit-for-bit.
+//
+// The word-image algebra (intersects / intersection_count / remove_words)
+// is also checked on random images against two independent oracles, a
+// per-word std::bitset walk and sorted id vectors with
+// std::set_intersection, at lengths from empty to well past 8 words.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bitset>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -14,10 +21,66 @@
 namespace tcast {
 namespace {
 
+using Words = std::vector<NodeSet::Word>;
+
 std::vector<NodeId> members_of(const NodeSet& s) {
   std::vector<NodeId> out;
   s.append_members(out);
   return out;
+}
+
+// Image lengths in words: empty, single words, both sides of 8, tails that
+// are not a multiple of 8, and a 4096-node universe.
+const std::size_t kWordCounts[] = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 33, 64};
+
+/// Mixed-density random words: empty, full, sparse and dense words all
+/// appear, so every word position sees all-zero and all-one patterns.
+Words random_words(RngStream& rng, std::size_t n) {
+  Words out(n);
+  for (auto& w : out) {
+    switch (rng.uniform_below(5)) {
+      case 0: w = 0; break;
+      case 1: w = ~NodeSet::Word{0}; break;
+      case 2: w = rng.bits() & rng.bits() & rng.bits(); break;  // sparse
+      default: w = rng.bits(); break;
+    }
+  }
+  return out;
+}
+
+/// The NodeSet whose word image is exactly `words`.
+NodeSet set_of_words(const Words& words) {
+  NodeSet s(words.size() * NodeSet::kWordBits);
+  for (std::size_t w = 0; w < words.size(); ++w)
+    for (std::size_t bit = 0; bit < NodeSet::kWordBits; ++bit)
+      if ((words[w] >> bit) & 1u)
+        s.insert(static_cast<NodeId>(w * NodeSet::kWordBits + bit));
+  return s;
+}
+
+/// Oracle 1: |a ∩ b| by per-word std::bitset algebra over the common prefix.
+std::size_t and_count_bitset(const Words& a, const Words& b) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+    total += (std::bitset<64>(a[i]) & std::bitset<64>(b[i])).count();
+  return total;
+}
+
+/// Oracle 2: |a ∩ b| by std::set_intersection of ascending id lists.
+std::size_t and_count_sorted(const Words& a, const Words& b) {
+  const auto ids = [](const Words& words) {
+    std::vector<std::size_t> out;
+    for (std::size_t w = 0; w < words.size(); ++w)
+      for (std::size_t bit = 0; bit < 64; ++bit)
+        if ((words[w] >> bit) & 1u) out.push_back(w * 64 + bit);
+    return out;
+  };
+  const auto ia = ids(a);
+  const auto ib = ids(b);
+  std::vector<std::size_t> both;
+  std::set_intersection(ia.begin(), ia.end(), ib.begin(), ib.end(),
+                        std::back_inserter(both));
+  return both.size();
 }
 
 TEST(NodeSet, StartsEmpty) {
@@ -130,6 +193,28 @@ TEST(NodeSet, IntersectsAndIntersectionCount) {
   b.insert(10);
   b.insert(70);
   EXPECT_EQ(NodeSet::intersection_count(a.words(), b.words()), 3u);
+
+  RngStream rng(0x51D0002, 1);
+  for (const std::size_t n : kWordCounts) {
+    for (int rep = 0; rep < 40; ++rep) {
+      const Words x = random_words(rng, n);
+      const Words y = random_words(rng, n);
+      const std::size_t want = and_count_bitset(x, y);
+      ASSERT_EQ(want, and_count_sorted(x, y));
+      EXPECT_EQ(NodeSet::intersection_count(x, y), want) << "n=" << n;
+      EXPECT_EQ(NodeSet::intersects(x, y), want > 0) << "n=" << n;
+    }
+    // A lone shared bit in each word position, the last word included.
+    for (std::size_t w = 0; w < n; ++w) {
+      Words x(n, 0), y(n, 0);
+      x[w] = y[w] = NodeSet::Word{1} << 63;
+      EXPECT_TRUE(NodeSet::intersects(x, y)) << "n=" << n << " word=" << w;
+      EXPECT_EQ(NodeSet::intersection_count(x, y), 1u);
+      y[w] >>= 1;  // now disjoint
+      EXPECT_FALSE(NodeSet::intersects(x, y)) << "n=" << n << " word=" << w;
+      EXPECT_EQ(NodeSet::intersection_count(x, y), 0u);
+    }
+  }
 }
 
 TEST(NodeSet, IntersectionWithShorterImageIgnoresTail) {
@@ -148,6 +233,20 @@ TEST(NodeSet, IntersectionWithShorterImageIgnoresTail) {
   narrow.insert(40);
   EXPECT_FALSE(NodeSet::intersects(wide.words(), narrow.words()));
   EXPECT_FALSE(NodeSet::intersects(narrow.words(), wide.words()));
+
+  // Random images of unequal lengths; the sorted-id oracle sees both whole
+  // images, so it also checks that the longer tail is ignored.
+  RngStream rng(0x51D0005, 1);
+  for (int rep = 0; rep < 300; ++rep) {
+    const Words x = random_words(rng, rng.uniform_below(20));
+    const Words y = random_words(rng, rng.uniform_below(20));
+    const std::size_t want = and_count_bitset(x, y);
+    ASSERT_EQ(want, and_count_sorted(x, y));
+    EXPECT_EQ(NodeSet::intersection_count(x, y), want);
+    EXPECT_EQ(NodeSet::intersection_count(y, x), want);
+    EXPECT_EQ(NodeSet::intersects(x, y), want > 0);
+    EXPECT_EQ(NodeSet::intersects(y, x), want > 0);
+  }
 }
 
 TEST(NodeSet, RemoveWordsReportsActualRemovals) {
@@ -167,6 +266,32 @@ TEST(NodeSet, RemoveWordsReportsActualRemovals) {
   alive.for_each([&](NodeId id) { EXPECT_FALSE(gone.test(id)); });
   // Removing again is a no-op.
   EXPECT_EQ(alive.remove_words(gone.words()), 0u);
+
+  // Random images, masks as long as the set or up to two words shorter or
+  // longer: the ANDNOT clears exactly the intersection over the common
+  // prefix and leaves every other word alone.
+  RngStream rng(0x51D0003, 1);
+  for (const std::size_t n : kWordCounts) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const Words before_words = random_words(rng, n);
+      const std::size_t shortest = n < 2 ? 0 : n - 2;
+      const std::size_t mask_words =
+          rep % 2 == 0 ? n : shortest + rng.uniform_below(n + 3 - shortest);
+      const Words mask = random_words(rng, mask_words);
+      NodeSet set = set_of_words(before_words);
+      const std::size_t want = and_count_bitset(before_words, mask);
+      ASSERT_EQ(want, and_count_sorted(before_words, mask));
+      const std::size_t count_before = set.count();
+      EXPECT_EQ(set.remove_words(mask), want) << "n=" << n;
+      EXPECT_EQ(set.count(), count_before - want);
+      for (std::size_t w = 0; w < n; ++w) {
+        const NodeSet::Word expected =
+            w < mask.size() ? before_words[w] & ~mask[w] : before_words[w];
+        EXPECT_EQ(set.words()[w], expected) << "n=" << n << " word=" << w;
+      }
+      EXPECT_EQ(set.remove_words(mask), 0u) << "n=" << n;
+    }
+  }
 }
 
 TEST(NodeSet, ForEachVisitsAscending) {

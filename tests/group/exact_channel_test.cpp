@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "group/instrumented_channel.hpp"
 
 namespace tcast::group {
@@ -65,6 +68,35 @@ TEST(ExactChannel, OracleCountsExactly) {
   EXPECT_EQ(ch.oracle_positive_count(ids({1, 4})), 0u);
   EXPECT_EQ(ch.oracle_positive_count(ids({0, 2, 3})), 3u);
   EXPECT_EQ(ch.positive_count(), 3u);
+
+  // Word-image counts equal a per-bin member walk for every bin, at 1 to
+  // 64 words per image, including bin images shorter than the positive
+  // image (assignments over the low ids only): per bin before announce(),
+  // then from the batched per-announcement cache.
+  RngStream wide_rng(6);
+  for (const std::size_t n : {64u, 65u, 130u, 513u, 4096u}) {
+    auto wide = ExactChannel::with_random_positives(n, n / 3, wide_rng);
+    for (const std::size_t covered : {n, n / 2 + 1}) {
+      const auto nodes = wide.all_nodes().first(covered);
+      for (const std::size_t bins : {1u, 2u, 3u, 31u, 64u}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " covered=" +
+                     std::to_string(covered) + " bins=" +
+                     std::to_string(bins));
+        const auto a = BinAssignment::random_equal(nodes, bins, wide_rng);
+        std::vector<std::size_t> want(a.bin_count(), 0);
+        for (std::size_t b = 0; b < a.bin_count(); ++b) {
+          for (const NodeId id : a.bin(b)) want[b] += wide.is_positive(id);
+          EXPECT_EQ(wide.oracle_positive_count(a, b), want[b]) << "bin " << b;
+        }
+        EXPECT_EQ(wide.oracle_bin_counts(a), nullptr);  // not announced yet
+        wide.announce(a);
+        const std::uint32_t* counts = wide.oracle_bin_counts(a);
+        ASSERT_NE(counts, nullptr);
+        for (std::size_t b = 0; b < a.bin_count(); ++b)
+          EXPECT_EQ(counts[b], want[b]) << "bin " << b;
+      }
+    }
+  }
 }
 
 TEST(ExactChannel, WithRandomPositivesHasExactCount) {
