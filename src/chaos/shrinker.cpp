@@ -1,6 +1,7 @@
 #include "chaos/shrinker.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "common/check.hpp"
 
@@ -25,8 +26,9 @@ bool ddmin_events(const ChaosScenario& sc, faults::FaultTrace& trace,
       const std::size_t lo = c * chunk;
       const std::size_t hi =
           std::min(candidate.events.size(), lo + chunk);
-      candidate.events.erase(candidate.events.begin() + lo,
-                             candidate.events.begin() + hi);
+      candidate.events.erase(
+          candidate.events.begin() + static_cast<std::ptrdiff_t>(lo),
+          candidate.events.begin() + static_cast<std::ptrdiff_t>(hi));
       ++probes;
       if (pred(sc, candidate)) {
         trace = std::move(candidate);

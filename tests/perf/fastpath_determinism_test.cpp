@@ -121,24 +121,25 @@ TEST(FastPathDeterminism, SpanFastPathMatchesVectorCompatPath) {
 }
 
 TEST(FastPathDeterminism, NestedParallelForStillDeterministic) {
-  // A trial that itself calls parallel_for must run its inner loop inline
-  // (worker-thread re-entry) and still produce worker-count-independent
-  // results.
-  const auto trial = [](RngStream& rng) {
-    double acc = rng.uniform01();
-    parallel_for(4, [&acc](std::size_t i) {
-      acc += static_cast<double>(i) * 1e-3;
-    });
-    return acc;
-  };
+  // A trial that itself calls parallel_for on the pool running it must run
+  // its inner loop inline (worker-thread re-entry) and still produce
+  // worker-count-independent results.
   ThreadPool one(1);
   ThreadPool many(4);
+  ThreadPool* trial_pool = nullptr;
+  const auto trial = [&trial_pool](RngStream& rng) {
+    double acc = rng.uniform01();
+    parallel_for(
+        4, [&acc](std::size_t i) { acc += static_cast<double>(i) * 1e-3; },
+        trial_pool);
+    return acc;
+  };
   MonteCarloConfig cfg;
   cfg.trials = 64;
   cfg.experiment_id = 19;
-  cfg.pool = &one;
+  cfg.pool = trial_pool = &one;
   const RunningStats serial = run_trials(cfg, trial);
-  cfg.pool = &many;
+  cfg.pool = trial_pool = &many;
   const RunningStats parallel = run_trials(cfg, trial);
   expect_bitwise_equal(serial, parallel);
 }
