@@ -1,9 +1,9 @@
 #include "chaos/chaos_engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/check.hpp"
+#include "common/text_codec.hpp"
 #include "conformance/harness.hpp"
 #include "core/registry.hpp"
 #include "faults/faulty_channel.hpp"
@@ -13,26 +13,6 @@
 
 namespace tcast::chaos {
 namespace {
-
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  while (true) {
-    const auto pos = text.find(sep);
-    parts.push_back(text.substr(0, pos));
-    if (pos == std::string_view::npos) break;
-    text.remove_prefix(pos + 1);
-  }
-  return parts;
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  const std::string buf(text);
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
-  return v;
-}
 
 /// Gives an oracle view (and a forwarded ChannelFaultControl) to a channel
 /// that lacks one — the packet tier. Ground truth is the positive vector
@@ -203,32 +183,26 @@ std::optional<ChaosScenario> ChaosScenario::parse(std::string_view text) {
   ChaosScenario sc;
   if (text.empty()) return std::nullopt;
   for (const auto token : split(text, ';')) {
-    const auto eq = token.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    const auto key = token.substr(0, eq);
-    const auto value = token.substr(eq + 1);
+    const auto kv = split_kv(token);
+    if (!kv) return std::nullopt;
+    const auto [key, value] = *kv;
     if (key == "algo") {
       if (value.empty()) return std::nullopt;
       sc.algorithm = std::string(value);
     } else if (key == "n" || key == "x" || key == "t") {
-      const auto v = parse_u64(value);
+      const auto v = parse_uint<std::size_t>(value);
       if (!v) return std::nullopt;
-      (key == "n" ? sc.n : key == "x" ? sc.x : sc.t) =
-          static_cast<std::size_t>(*v);
+      (key == "n" ? sc.n : key == "x" ? sc.x : sc.t) = *v;
     } else if (key == "model") {
-      if (value == "1+") {
-        sc.model = group::CollisionModel::kOnePlus;
-      } else if (value == "2+") {
-        sc.model = group::CollisionModel::kTwoPlus;
-      } else {
-        return std::nullopt;
-      }
+      const auto model = group::parse_collision_model(value);
+      if (!model) return std::nullopt;
+      sc.model = *model;
     } else if (key == "tier") {
       const auto tier = parse_tier(value);
       if (!tier) return std::nullopt;
       sc.tier = *tier;
     } else if (key == "seed") {
-      const auto v = parse_u64(value);
+      const auto v = parse_uint<std::uint64_t>(value);
       if (!v) return std::nullopt;
       sc.seed = *v;
     } else if (key == "plan") {

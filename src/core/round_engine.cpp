@@ -2,39 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "common/check.hpp"
+#include "common/text_codec.hpp"
 
 namespace tcast::core {
 
 std::optional<RetryPolicy> RetryPolicy::parse(std::string_view text) {
-  const auto number = [](std::string_view v) -> std::optional<double> {
-    if (v.empty()) return std::nullopt;
-    const std::string buf(v);
-    char* end = nullptr;
-    const double d = std::strtod(buf.c_str(), &end);
-    if (end != buf.c_str() + buf.size()) return std::nullopt;
-    return d;
-  };
   if (text == "none") return none();
   if (text.starts_with("fixed:")) {
-    const auto r = number(text.substr(6));
-    if (!r || *r < 0 || *r != std::floor(*r)) return std::nullopt;
-    return fixed(static_cast<std::size_t>(*r));
+    const auto r = parse_uint<std::size_t>(text.substr(6));
+    if (!r) return std::nullopt;
+    return fixed(*r);
   }
   if (text.starts_with("adaptive:")) {
-    auto rest = text.substr(9);
-    const auto colon = rest.find(':');
-    const auto target = number(rest.substr(0, colon));
+    const auto parts = split(text.substr(9), ':');
+    if (parts.size() > 2) return std::nullopt;
+    const auto target = parse_double(parts[0]);
     if (!target || *target <= 0.0 || *target >= 1.0) return std::nullopt;
     std::size_t cap = 8;
-    if (colon != std::string_view::npos) {
-      const auto c = number(rest.substr(colon + 1));
-      if (!c || *c < 1 || *c != std::floor(*c)) return std::nullopt;
-      cap = static_cast<std::size_t>(*c);
+    if (parts.size() == 2) {
+      const auto c = parse_uint<std::size_t>(parts[1]);
+      if (!c || *c < 1) return std::nullopt;
+      cap = *c;
     }
     return adaptive(*target, cap);
   }
@@ -47,12 +38,9 @@ std::string RetryPolicy::spec() const {
       return "none";
     case Kind::kFixed:
       return "fixed:" + std::to_string(retries);
-    case Kind::kAdaptive: {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "adaptive:%g:%zu", target_residual,
-                    max_retries);
-      return buf;
-    }
+    case Kind::kAdaptive:
+      return "adaptive:" + format_double(target_residual) + ":" +
+             std::to_string(max_retries);
   }
   return "none";
 }

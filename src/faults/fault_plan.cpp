@@ -1,55 +1,17 @@
 #include "faults/fault_plan.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <vector>
+
+#include "common/text_codec.hpp"
 
 namespace tcast::faults {
 namespace {
 
-bool valid_prob(double p) { return p >= 0.0 && p <= 1.0; }
-
-/// Parses a double out of `text`, demanding full consumption.
-std::optional<double> parse_double(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  const std::string buf(text);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
-  return v;
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  const std::string buf(text);
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
-  return v;
-}
-
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  while (true) {
-    const auto pos = text.find(sep);
-    parts.push_back(text.substr(0, pos));
-    if (pos == std::string_view::npos) break;
-    text.remove_prefix(pos + 1);
-  }
-  return parts;
-}
-
-std::string format_prob(double p) {
-  // Shortest rendering that parses back to the identical double: %g (6
-  // significant digits) covers every hand-written probability, but plans
-  // built programmatically (fuzzers, campaign grids) carry full-precision
-  // doubles — fall back to max_digits10 so spec() always round-trips.
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%g", p);
-  if (std::strtod(buf, nullptr) != p)
-    std::snprintf(buf, sizeof buf, "%.17g", p);
-  return buf;
+/// A probability token: a codec double in [0, 1].
+std::optional<double> parse_prob(std::string_view text) {
+  const auto p = parse_double(text);
+  if (!p || *p < 0.0 || *p > 1.0) return std::nullopt;
+  return p;
 }
 
 }  // namespace
@@ -105,13 +67,12 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text) {
   FaultPlan plan;
   if (text.empty()) return plan;
   for (const auto token : split(text, ',')) {
-    const auto eq = token.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    const auto key = token.substr(0, eq);
-    const auto value = token.substr(eq + 1);
+    const auto kv = split_kv(token);
+    if (!kv) return std::nullopt;
+    const auto [key, value] = *kv;
     if (key == "iid") {
-      const auto p = parse_double(value);
-      if (!p || !valid_prob(*p)) return std::nullopt;
+      const auto p = parse_prob(value);
+      if (!p) return std::nullopt;
       plan.process = LossProcess::kIid;
       plan.loss = *p;
     } else if (key == "ge") {
@@ -119,8 +80,8 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text) {
       if (parts.size() != 4) return std::nullopt;
       double vals[4];
       for (std::size_t i = 0; i < 4; ++i) {
-        const auto p = parse_double(parts[i]);
-        if (!p || !valid_prob(*p)) return std::nullopt;
+        const auto p = parse_prob(parts[i]);
+        if (!p) return std::nullopt;
         vals[i] = *p;
       }
       plan.process = LossProcess::kGilbertElliott;
@@ -129,23 +90,23 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text) {
       plan.ge_loss_good = vals[2];
       plan.ge_loss_bad = vals[3];
     } else if (key == "downgrade") {
-      const auto p = parse_double(value);
-      if (!p || !valid_prob(*p)) return std::nullopt;
+      const auto p = parse_prob(value);
+      if (!p) return std::nullopt;
       plan.capture_downgrade = *p;
     } else if (key == "spurious") {
-      const auto p = parse_double(value);
-      if (!p || !valid_prob(*p)) return std::nullopt;
+      const auto p = parse_prob(value);
+      if (!p) return std::nullopt;
       plan.spurious_activity = *p;
     } else if (key == "crash") {
-      const auto p = parse_double(value);
-      if (!p || !valid_prob(*p)) return std::nullopt;
+      const auto p = parse_prob(value);
+      if (!p) return std::nullopt;
       plan.crash_rate = *p;
     } else if (key == "reboot") {
-      const auto v = parse_u64(value);
+      const auto v = parse_uint<std::size_t>(value);
       if (!v) return std::nullopt;
-      plan.reboot_after = static_cast<std::size_t>(*v);
+      plan.reboot_after = *v;
     } else if (key == "seed") {
-      const auto v = parse_u64(value);
+      const auto v = parse_uint<std::uint64_t>(value);
       if (!v) return std::nullopt;
       plan.seed = *v;
     } else {
@@ -165,19 +126,19 @@ std::string FaultPlan::spec() const {
     case LossProcess::kNone:
       break;
     case LossProcess::kIid:
-      append("iid=" + format_prob(loss));
+      append("iid=" + format_double(loss));
       break;
     case LossProcess::kGilbertElliott:
-      append("ge=" + format_prob(ge_enter_bad) + ":" +
-             format_prob(ge_exit_bad) + ":" + format_prob(ge_loss_good) +
-             ":" + format_prob(ge_loss_bad));
+      append("ge=" + format_double(ge_enter_bad) + ":" +
+             format_double(ge_exit_bad) + ":" + format_double(ge_loss_good) +
+             ":" + format_double(ge_loss_bad));
       break;
   }
   if (capture_downgrade > 0.0)
-    append("downgrade=" + format_prob(capture_downgrade));
+    append("downgrade=" + format_double(capture_downgrade));
   if (spurious_activity > 0.0)
-    append("spurious=" + format_prob(spurious_activity));
-  if (crash_rate > 0.0) append("crash=" + format_prob(crash_rate));
+    append("spurious=" + format_double(spurious_activity));
+  if (crash_rate > 0.0) append("crash=" + format_double(crash_rate));
   if (reboot_after > 0) append("reboot=" + std::to_string(reboot_after));
   append("seed=" + std::to_string(seed));
   return s;

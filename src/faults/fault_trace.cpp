@@ -1,7 +1,6 @@
 #include "faults/fault_trace.hpp"
 
-#include <cstdlib>
-
+#include "common/text_codec.hpp"
 #include "faults/faulty_channel.hpp"
 
 namespace tcast::faults {
@@ -27,26 +26,6 @@ std::optional<FaultEvent::Kind> parse_kind(std::string_view code) {
   return std::nullopt;
 }
 
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  const std::string buf(text);
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
-  return v;
-}
-
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  while (true) {
-    const auto pos = text.find(sep);
-    parts.push_back(text.substr(0, pos));
-    if (pos == std::string_view::npos) break;
-    text.remove_prefix(pos + 1);
-  }
-  return parts;
-}
-
 }  // namespace
 
 FaultTrace FaultTrace::record(const FaultyChannel& channel) {
@@ -58,16 +37,16 @@ FaultTrace FaultTrace::record(const FaultyChannel& channel) {
 
 std::optional<FaultTrace> FaultTrace::parse(std::string_view text) {
   const auto tokens = split(text, ',');
-  if (tokens.empty() || tokens[0].substr(0, 6) != "lossy=")
+  const auto header = split_kv(tokens[0]);
+  if (!header || header->key != "lossy" ||
+      (header->value != "0" && header->value != "1"))
     return std::nullopt;
-  const auto lossy_val = tokens[0].substr(6);
-  if (lossy_val != "0" && lossy_val != "1") return std::nullopt;
   FaultTrace trace;
-  trace.lossy = lossy_val == "1";
+  trace.lossy = header->value == "1";
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     const auto parts = split(tokens[i], ':');
     if (parts.size() < 2 || parts.size() > 3) return std::nullopt;
-    const auto at = parse_u64(parts[0]);
+    const auto at = parse_uint<QueryCount>(parts[0]);
     const auto kind = parse_kind(parts[1]);
     if (!at || !kind) return std::nullopt;
     FaultEvent e;
@@ -79,9 +58,9 @@ std::optional<FaultTrace> FaultTrace::parse(std::string_view text) {
         wants_node || *kind == FaultEvent::Kind::kCaptureDowngrade;
     if (parts.size() == 3) {
       if (!allows_node) return std::nullopt;
-      const auto node = parse_u64(parts[2]);
-      if (!node || *node >= kNoNode) return std::nullopt;
-      e.node = static_cast<NodeId>(*node);
+      const auto node = parse_uint<NodeId>(parts[2]);
+      if (!node || *node == kNoNode) return std::nullopt;
+      e.node = *node;
     } else if (wants_node) {
       return std::nullopt;
     }

@@ -14,6 +14,12 @@ const char* to_string(CollisionModel m) {
   return "?";
 }
 
+std::optional<CollisionModel> parse_collision_model(std::string_view text) {
+  if (text == "1+") return CollisionModel::kOnePlus;
+  if (text == "2+") return CollisionModel::kTwoPlus;
+  return std::nullopt;
+}
+
 ExactChannel::ExactChannel(std::vector<bool> positive, RngStream& rng,
                            Config cfg)
     : ExactChannel(positive.size(), 0, rng, std::move(cfg)) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string_view>
 
 #include "common/types.hpp"
 #include "group/binning.hpp"
@@ -24,6 +25,8 @@ namespace tcast::group {
 enum class CollisionModel : std::uint8_t { kOnePlus, kTwoPlus };
 
 const char* to_string(CollisionModel m);
+/// Inverse of to_string: "1+" or "2+"; nullopt otherwise.
+std::optional<CollisionModel> parse_collision_model(std::string_view text);
 
 struct BinQueryResult {
   enum class Kind : std::uint8_t {

@@ -8,8 +8,9 @@
 #endif
 
 #include <cctype>
-#include <charconv>
 #include <cstdio>
+
+#include "common/text_codec.hpp"
 
 namespace tcast::perf {
 
@@ -261,14 +262,12 @@ class Parser {
       fail("expected a value");
       return std::nullopt;
     }
-    double d = 0.0;
-    const auto [end, ec] =
-        std::from_chars(text_.data() + start, text_.data() + pos_, d);
-    if (ec != std::errc{} || end != text_.data() + pos_) {
+    const auto d = parse_double(text_.substr(start, pos_ - start));
+    if (!d) {
       fail("malformed number");
       return std::nullopt;
     }
-    return JsonValue(d);
+    return JsonValue(*d);
   }
 
   std::optional<JsonValue> parse_array() {

@@ -1,54 +1,11 @@
 #include "service/protocol.hpp"
 
-#include <charconv>
-#include <cstdlib>
-#include <sstream>
 #include <vector>
+
+#include "common/text_codec.hpp"
 
 namespace tcast::service {
 namespace {
-
-// ---- token helpers -------------------------------------------------------
-
-struct Token {
-  std::string_view key;
-  std::string_view value;
-};
-
-std::vector<std::string_view> split_ws(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && line[i] == ' ') ++i;
-    std::size_t start = i;
-    while (i < line.size() && line[i] != ' ') ++i;
-    if (i > start) out.push_back(line.substr(start, i - start));
-  }
-  return out;
-}
-
-std::optional<Token> split_kv(std::string_view word) {
-  const auto eq = word.find('=');
-  if (eq == std::string_view::npos || eq == 0) return std::nullopt;
-  return Token{word.substr(0, eq), word.substr(eq + 1)};
-}
-
-template <typename Int>
-bool parse_int(std::string_view text, Int& out) {
-  const auto* begin = text.data();
-  const auto* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
-}
-
-bool parse_double(std::string_view text, double& out) {
-  // Population names exclude spaces, so values never contain them; a plain
-  // strtod on a NUL-terminated copy is the portable float path.
-  const std::string copy(text);
-  char* endp = nullptr;
-  out = std::strtod(copy.c_str(), &endp);
-  return endp == copy.c_str() + copy.size() && !copy.empty();
-}
 
 bool parse_bool(std::string_view text, bool& out) {
   if (text == "yes" || text == "1" || text == "true") {
@@ -60,12 +17,6 @@ bool parse_bool(std::string_view text, bool& out) {
     return true;
   }
   return false;
-}
-
-std::string format_double(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
 }
 
 /// Population names and free-text messages travel as single tokens; spaces
@@ -171,25 +122,32 @@ const char* to_string(AnswerMode m) {
 // ---- Request -------------------------------------------------------------
 
 std::string Request::encode() const {
-  std::ostringstream os;
-  os << to_string(kind);
+  std::string s = to_string(kind);
   switch (kind) {
     case RequestKind::kLoad:
-      os << " pop=" << population << " n=" << n << " x=" << x
-         << " seed=" << seed << " model="
-         << (model == group::CollisionModel::kTwoPlus ? "2+" : "1+")
-         << " tier=" << to_string(tier);
+      s += " pop=" + population;
+      s += " n=" + std::to_string(n);
+      s += " x=" + std::to_string(x);
+      s += " seed=" + std::to_string(seed);
+      s += " model=";
+      s += group::to_string(model);
+      s += " tier=";
+      s += to_string(tier);
       break;
     case RequestKind::kQuery:
-      os << " pop=" << population << " t=" << t << " algo=" << algorithm
-         << " deadline-ms=" << deadline_ms << " approx=" << to_string(approx);
+      s += " pop=" + population;
+      s += " t=" + std::to_string(t);
+      s += " algo=" + algorithm;
+      s += " deadline-ms=" + std::to_string(deadline_ms);
+      s += " approx=";
+      s += to_string(approx);
       break;
     case RequestKind::kDrop:
-      os << " pop=" << population;
+      s += " pop=" + population;
       break;
     case RequestKind::kKillShard:
     case RequestKind::kRebootShard:
-      os << " shard=" << shard;
+      s += " shard=" + std::to_string(shard);
       break;
     case RequestKind::kList:
     case RequestKind::kStats:
@@ -197,15 +155,15 @@ std::string Request::encode() const {
     case RequestKind::kShutdown:
       break;
   }
-  return os.str();
+  return s;
 }
 
 std::optional<Request> Request::parse(std::string_view line) {
-  const auto words = split_ws(line);
-  if (words.empty()) return std::nullopt;
+  const auto tokens = split_words(line);
+  if (tokens.empty()) return std::nullopt;
 
   Request req;
-  const auto verb = words[0];
+  const auto verb = tokens[0];
   if (verb == "load") {
     req.kind = RequestKind::kLoad;
   } else if (verb == "query") {
@@ -228,46 +186,41 @@ std::optional<Request> Request::parse(std::string_view line) {
     return std::nullopt;
   }
 
-  for (std::size_t i = 1; i < words.size(); ++i) {
-    const auto kv = split_kv(words[i]);
+  for (std::size_t i = 1; i < tokens.size(); ++i) {
+    const auto kv = split_kv(tokens[i]);
     if (!kv) return std::nullopt;
-    const auto key = kv->key;
-    const auto value = kv->value;
+    const auto [key, value] = *kv;
     bool ok = true;
     if (key == "pop") {
       ok = valid_name(value);
       req.population = std::string(value);
     } else if (key == "n") {
-      ok = parse_int(value, req.n);
+      ok = parse_to(value, req.n);
     } else if (key == "x") {
-      ok = parse_int(value, req.x);
+      ok = parse_to(value, req.x);
     } else if (key == "seed") {
-      ok = parse_int(value, req.seed);
+      ok = parse_to(value, req.seed);
     } else if (key == "model") {
-      if (value == "1+") {
-        req.model = group::CollisionModel::kOnePlus;
-      } else if (value == "2+") {
-        req.model = group::CollisionModel::kTwoPlus;
-      } else {
-        ok = false;
-      }
+      const auto model = group::parse_collision_model(value);
+      ok = model.has_value();
+      if (model) req.model = *model;
     } else if (key == "tier") {
       const auto tier = parse_backend_tier(value);
       ok = tier.has_value();
       if (tier) req.tier = *tier;
     } else if (key == "t") {
-      ok = parse_int(value, req.t);
+      ok = parse_to(value, req.t);
     } else if (key == "algo") {
       ok = valid_name(value);
       req.algorithm = std::string(value);
     } else if (key == "deadline-ms") {
-      ok = parse_int(value, req.deadline_ms);
+      ok = parse_to(value, req.deadline_ms);
     } else if (key == "approx") {
       const auto mode = parse_approx_mode(value);
       ok = mode.has_value();
       if (mode) req.approx = *mode;
     } else if (key == "shard") {
-      ok = parse_int(value, req.shard);
+      ok = parse_to(value, req.shard);
     } else {
       ok = false;  // unknown keys are rejected, not ignored: typos surface
     }
@@ -284,32 +237,34 @@ std::optional<Request> Request::parse(std::string_view line) {
 // ---- Response ------------------------------------------------------------
 
 std::string Response::encode() const {
-  std::ostringstream os;
-  os << "status=" << to_string(status);
+  std::string s = "status=";
+  s += to_string(status);
   if (status == StatusCode::kOk) {
-    os << " decision=" << (decision ? "yes" : "no")
-       << " mode=" << to_string(mode);
+    s += decision ? " decision=yes" : " decision=no";
+    s += " mode=";
+    s += to_string(mode);
     if (mode == AnswerMode::kApproximate) {
-      os << " estimate=" << format_double(estimate)
-         << " epsilon=" << format_double(epsilon)
-         << " confidence=" << format_double(confidence);
+      s += " estimate=" + format_double(estimate);
+      s += " epsilon=" + format_double(epsilon);
+      s += " confidence=" + format_double(confidence);
     }
   }
-  os << " queries=" << queries << " shard=" << shard
-     << " latency-us=" << latency_us;
-  if (retry_after_ms != 0) os << " retry-after-ms=" << retry_after_ms;
-  if (!message.empty()) os << " msg=" << escape_message(message);
-  return os.str();
+  s += " queries=" + std::to_string(queries);
+  s += " shard=" + std::to_string(shard);
+  s += " latency-us=" + std::to_string(latency_us);
+  if (retry_after_ms != 0)
+    s += " retry-after-ms=" + std::to_string(retry_after_ms);
+  if (!message.empty()) s += " msg=" + escape_message(message);
+  return s;
 }
 
 std::optional<Response> Response::parse(std::string_view line) {
   Response resp;
   bool saw_status = false;
-  for (const auto word : split_ws(line)) {
+  for (const auto word : split_words(line)) {
     const auto kv = split_kv(word);
     if (!kv) return std::nullopt;
-    const auto key = kv->key;
-    const auto value = kv->value;
+    const auto [key, value] = *kv;
     bool ok = true;
     if (key == "status") {
       const auto status = parse_status(value);
@@ -327,19 +282,19 @@ std::optional<Response> Response::parse(std::string_view line) {
         ok = false;
       }
     } else if (key == "estimate") {
-      ok = parse_double(value, resp.estimate);
+      ok = parse_to(value, resp.estimate);
     } else if (key == "epsilon") {
-      ok = parse_double(value, resp.epsilon);
+      ok = parse_to(value, resp.epsilon);
     } else if (key == "confidence") {
-      ok = parse_double(value, resp.confidence);
+      ok = parse_to(value, resp.confidence);
     } else if (key == "queries") {
-      ok = parse_int(value, resp.queries);
+      ok = parse_to(value, resp.queries);
     } else if (key == "shard") {
-      ok = parse_int(value, resp.shard);
+      ok = parse_to(value, resp.shard);
     } else if (key == "latency-us") {
-      ok = parse_int(value, resp.latency_us);
+      ok = parse_to(value, resp.latency_us);
     } else if (key == "retry-after-ms") {
-      ok = parse_int(value, resp.retry_after_ms);
+      ok = parse_to(value, resp.retry_after_ms);
     } else if (key == "msg") {
       resp.message = unescape_message(value);
     } else {

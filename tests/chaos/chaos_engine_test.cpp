@@ -4,6 +4,8 @@
 // moment the known loss-soundness hole is re-opened.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "chaos/chaos_engine.hpp"
 
 namespace tcast::chaos {
@@ -19,11 +21,14 @@ TEST(ChaosScenario, SpecRoundTripsExactly) {
   sc.tier = Tier::kPacket;
   sc.seed = 77;
   sc.plan = *faults::FaultPlan::parse("ge=0.02:0.25:0:0.7,crash=0.01,seed=5");
-  sc.retry = core::RetryPolicy::fixed(3);
   sc.break_counts_two_gate = true;
-  const auto back = ChaosScenario::parse(sc.spec());
-  ASSERT_TRUE(back.has_value()) << sc.spec();
-  EXPECT_EQ(*back, sc) << sc.spec();
+  for (const auto& retry : {core::RetryPolicy::fixed(3),
+                            core::RetryPolicy::adaptive(0.123456789, 3)}) {
+    sc.retry = retry;
+    const auto back = ChaosScenario::parse(sc.spec());
+    ASSERT_TRUE(back.has_value()) << sc.spec();
+    EXPECT_EQ(*back, sc) << sc.spec();
+  }
 }
 
 TEST(ChaosScenario, DefaultFieldsRoundTrip) {
@@ -50,6 +55,13 @@ TEST(ChaosScenario, ParseRejectsMalformedSpecs) {
   };
   for (const char* text : bad)
     EXPECT_FALSE(ChaosScenario::parse(text).has_value()) << text;
+  for (const char* token : {"-1", "+5", " 5", "12abc", "0x1p-2", "1e1", "inf",
+                            "nan", "18446744073709551616"}) {
+    for (const char* key : {"n=", "x=", "t=", "seed="}) {
+      const std::string text = std::string("algo=2tbins;") + key + token;
+      EXPECT_FALSE(ChaosScenario::parse(text).has_value()) << text;
+    }
+  }
 }
 
 TEST(ChaosEngine, CleanSessionHasNoViolationsOnBothTiers) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 namespace tcast {
 namespace {
 
@@ -64,7 +66,7 @@ TEST(MonteCarlo, DeterminismRegressionAcrossThreadCounts) {
     return acc;
   };
   const auto multi_trial = [&trial](RngStream& rng,
-                                    std::vector<double>& out) {
+                                    std::span<double> out) {
     out[0] = trial(rng);
     out[1] = rng.uniform01();
   };
@@ -101,7 +103,7 @@ TEST(MonteCarlo, MultiMetricKeepsMetricsApart) {
   MonteCarloConfig cfg;
   cfg.trials = 50;
   const auto stats = run_multi_trials(
-      cfg, 2, [](RngStream&, std::vector<double>& out) {
+      cfg, 2, [](RngStream&, std::span<double> out) {
         out[0] = 1.0;
         out[1] = 2.0;
       });

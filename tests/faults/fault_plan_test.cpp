@@ -2,6 +2,9 @@
 // arithmetic the degradation envelope is built on.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/rng.hpp"
 #include "faults/fault_plan.hpp"
 
@@ -79,6 +82,20 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   };
   for (const char* text : bad)
     EXPECT_FALSE(FaultPlan::parse(text).has_value()) << text;
+  // The shared number grammar: no sign, whitespace, hex, non-finite value
+  // or overflow in any numeric field (1e1 and -1 are out of [0, 1] in the
+  // probability fields, and not integers in reboot/seed).
+  const std::pair<const char*, const char*> fields[] = {
+      {"iid=", ""},           {"ge=", ":0.25:0:0.7"}, {"ge=0.02:", ":0:0.7"},
+      {"ge=0.02:0.25:0:", ""}, {"downgrade=", ""},     {"spurious=", ""},
+      {"crash=", ""},         {"reboot=", ""},        {"seed=", ""}};
+  for (const char* token : {"-1", "+5", " 5", "12abc", "0x1p-2", "1e1", "inf",
+                            "nan", "18446744073709551616"}) {
+    for (const auto& [prefix, suffix] : fields) {
+      const std::string text = std::string(prefix) + token + suffix;
+      EXPECT_FALSE(FaultPlan::parse(text).has_value()) << text;
+    }
+  }
 }
 
 TEST(FaultPlan, ToSpecFuzzRoundTripsRandomPlans) {

@@ -2,6 +2,8 @@
 // FaultyChannel run.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "faults/fault_trace.hpp"
@@ -44,6 +46,18 @@ TEST(FaultTrace, RejectsMalformedSpecs) {
   };
   for (const char* spec : bad)
     EXPECT_FALSE(FaultTrace::parse(spec).has_value()) << spec;
+  const std::pair<const char*, const char*> fields[] = {
+      {"lossy=1,", ":fe"}, {"lossy=1,3:cr:", ""}, {"lossy=", ""}};
+  for (const char* token : {"-1", "+5", " 5", "12abc", "0x1p-2", "1e1", "inf",
+                            "nan", "18446744073709551616"}) {
+    for (const auto& [prefix, suffix] : fields) {
+      const std::string text = std::string(prefix) + token + suffix;
+      EXPECT_FALSE(FaultTrace::parse(text).has_value()) << text;
+    }
+  }
+  // A node id must fit NodeId and not be the kNoNode sentinel.
+  EXPECT_FALSE(FaultTrace::parse("lossy=1,3:cr:4294967295").has_value());
+  EXPECT_FALSE(FaultTrace::parse("lossy=1,3:cr:4294967296").has_value());
 }
 
 TEST(FaultTrace, EventOrderAndNodesSurviveRoundTrip) {

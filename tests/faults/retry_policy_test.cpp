@@ -4,6 +4,7 @@
 // retries/faults_seen accounting surfaced in ThresholdOutcome.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/registry.hpp"
@@ -37,7 +38,8 @@ TEST(RetryPolicy, ParsesSpecs) {
 TEST(RetryPolicy, SpecRoundTrips) {
   for (const auto& policy :
        {RetryPolicy::none(), RetryPolicy::fixed(0), RetryPolicy::fixed(5),
-        RetryPolicy::adaptive(1e-3), RetryPolicy::adaptive(0.05, 3)}) {
+        RetryPolicy::adaptive(1e-3), RetryPolicy::adaptive(0.05, 3),
+        RetryPolicy::adaptive(0.123456789, 3)}) {
     const auto parsed = RetryPolicy::parse(policy.spec());
     ASSERT_TRUE(parsed.has_value()) << policy.spec();
     EXPECT_EQ(*parsed, policy) << policy.spec();
@@ -50,6 +52,14 @@ TEST(RetryPolicy, RejectsMalformedSpecs) {
                        "adaptive:2", "adaptive:0.1:0", "bogus"};
   for (const char* text : bad)
     EXPECT_FALSE(RetryPolicy::parse(text).has_value()) << text;
+  for (const char* token : {"-1", "+5", " 5", "12abc", "0x1p-2", "1e1", "inf",
+                            "nan", "18446744073709551616"}) {
+    for (const char* prefix : {"fixed:", "adaptive:", "adaptive:0.1:"}) {
+      const std::string text = std::string(prefix) + token;
+      EXPECT_FALSE(RetryPolicy::parse(text).has_value()) << text;
+    }
+  }
+  EXPECT_FALSE(RetryPolicy::parse("adaptive:0.1:2:3").has_value());
 }
 
 // Acceptance criterion: on lossless channels every retry policy is

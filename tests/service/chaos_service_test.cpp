@@ -66,6 +66,22 @@ TEST(ServiceOpCodec, EveryKindRoundTrips) {
   EXPECT_EQ(*trace, ops);
 }
 
+TEST(ServiceOpCodec, RejectsMalformedNumbers) {
+  for (const char* token : {"-1", "+5", " 5", "12abc", "0x1p-2", "1e1", "inf",
+                            "nan", "18446744073709551616"}) {
+    for (const char* prefix :
+         {"load pop=p0 n=", "load pop=p0 x=", "load pop=p0 seed=",
+          "query pop=p0 t=", "query pop=p0 deadline-ms=", "kill shard=",
+          "reboot shard=", "advance us="}) {
+      const std::string line = std::string(prefix) + token;
+      EXPECT_FALSE(ServiceOp::parse(line).has_value()) << line;
+    }
+  }
+  EXPECT_FALSE(ServiceOp::parse("").has_value());
+  EXPECT_FALSE(ServiceOp::parse("pump =1").has_value());  // empty key
+  EXPECT_FALSE(ServiceOp::parse("pump bogus=1").has_value());
+}
+
 TEST(ServiceChaos, OpGenerationIsAPureFunctionOfTheSeed) {
   ServiceCampaignConfig cfg;
   cfg.seed = 42;

@@ -61,6 +61,15 @@ TEST(RequestCodec, RejectsGarbage) {
   EXPECT_FALSE(Request::parse("query").has_value());  // missing pop
   EXPECT_FALSE(Request::parse("query pop=x bogus-key=1").has_value());
   EXPECT_FALSE(Request::parse("load pop=x n=notanumber").has_value());
+  for (const char* token : {"-1", "+5", " 5", "12abc", "0x1p-2", "1e1", "inf",
+                            "nan", "18446744073709551616"}) {
+    for (const char* prefix :
+         {"load pop=x n=", "load pop=x x=", "load pop=x seed=",
+          "query pop=x t=", "query pop=x deadline-ms=", "kill shard="}) {
+      const std::string line = std::string(prefix) + token;
+      EXPECT_FALSE(Request::parse(line).has_value()) << line;
+    }
+  }
 }
 
 TEST(ResponseCodec, VerdictRoundTrips) {
@@ -91,6 +100,14 @@ TEST(ResponseCodec, ApproximateAnswerCarriesItsBand) {
   EXPECT_DOUBLE_EQ(parsed->estimate, 3.25);
   EXPECT_DOUBLE_EQ(parsed->epsilon, 0.35);
   EXPECT_DOUBLE_EQ(parsed->confidence, 0.9);
+  EXPECT_EQ(parsed->encode(), resp.encode());  // %g form, byte for byte
+  EXPECT_NE(resp.encode().find(" estimate=3.25 "), std::string::npos);
+
+  // A (1±ε) count estimate travels at full precision, not %g's 6 digits.
+  resp.estimate = 17.333333333333332;
+  const auto exact = Response::parse(resp.encode());
+  ASSERT_TRUE(exact.has_value()) << resp.encode();
+  EXPECT_EQ(*exact, resp) << resp.encode();
 }
 
 TEST(ResponseCodec, TypedErrorRoundTrips) {

@@ -14,13 +14,29 @@
 // honoring the server's retry-after hints. Exit status: 0 on kOk, 1 on a
 // typed error, 2 on usage/transport failure.
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 
+#include "common/text_codec.hpp"
 #include "service/server.hpp"
 
 namespace {
+
+/// The value of a numeric flag; a missing or malformed one is a usage
+/// error (exit 2).
+std::uint64_t number_flag(const char* flag, const char* value) {
+  const auto v = value != nullptr ? tcast::parse_uint<std::uint64_t>(value)
+                                  : std::nullopt;
+  if (!v) {
+    std::fprintf(
+        stderr,
+        "tcast_client: %s expects an unsigned decimal integer, got '%s'\n",
+        flag, value != nullptr ? value : "");
+    std::exit(2);
+  }
+  return *v;
+}
 
 int run_one(tcast::service::UnixClient& client,
             const tcast::service::BackoffPolicy& policy,
@@ -70,11 +86,11 @@ int main(int argc, char** argv) {
     if (arg == "--socket") {
       if (const char* v = next()) socket_path = v;
     } else if (arg == "--max-retries") {
-      if (const char* v = next()) policy.max_retries = std::stoul(v);
+      policy.max_retries = number_flag("--max-retries", next());
     } else if (arg == "--deadline-ms") {
-      if (const char* v = next()) deadline_ms = std::stoull(v);
+      deadline_ms = number_flag("--deadline-ms", next());
     } else if (arg == "--seed") {
-      if (const char* v = next()) seed = std::stoull(v);
+      seed = number_flag("--seed", next());
     } else {
       if (!request_line.empty()) request_line += ' ';
       request_line += arg;

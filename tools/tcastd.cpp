@@ -11,9 +11,10 @@
 // drops. `tcast_client <socket> shutdown` stops it cleanly.
 #include <csignal>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 
+#include "common/text_codec.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 
@@ -23,6 +24,20 @@ tcast::service::UnixServer* g_server = nullptr;
 
 void handle_signal(int) {
   if (g_server != nullptr) g_server->stop();
+}
+
+/// The value of a numeric flag; a missing or malformed one is a usage
+/// error (exit 2).
+std::size_t count_flag(const char* flag, const char* value) {
+  const auto v = value != nullptr ? tcast::parse_uint<std::size_t>(value)
+                                  : std::nullopt;
+  if (!v) {
+    std::fprintf(stderr,
+                 "tcastd: %s expects an unsigned decimal integer, got '%s'\n",
+                 flag, value != nullptr ? value : "");
+    std::exit(2);
+  }
+  return *v;
 }
 
 }  // namespace
@@ -40,15 +55,15 @@ int main(int argc, char** argv) {
     if (arg == "--socket") {
       if (const char* v = next()) socket_path = v;
     } else if (arg == "--shards") {
-      if (const char* v = next()) cfg.shards = std::stoul(v);
+      cfg.shards = count_flag("--shards", next());
     } else if (arg == "--queue-capacity") {
-      if (const char* v = next()) cfg.queue_capacity = std::stoul(v);
+      cfg.queue_capacity = count_flag("--queue-capacity", next());
     } else if (arg == "--degrade-enter") {
-      if (const char* v = next()) cfg.degrade_enter = std::stoul(v);
+      cfg.degrade_enter = count_flag("--degrade-enter", next());
     } else if (arg == "--degrade-exit") {
-      if (const char* v = next()) cfg.degrade_exit = std::stoul(v);
+      cfg.degrade_exit = count_flag("--degrade-exit", next());
     } else if (arg == "--batch-max") {
-      if (const char* v = next()) cfg.batch_max = std::stoul(v);
+      cfg.batch_max = count_flag("--batch-max", next());
     } else if (arg == "--estimator") {
       if (const char* v = next()) cfg.degrade_estimator = v;
     } else if (arg == "--checked") {
