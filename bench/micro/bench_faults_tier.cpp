@@ -1,5 +1,6 @@
 // Faults-tier benchmarks: the chaos machinery's two hot loops. Trace
-// replay is the shrinker's inner predicate — ddmin calls it hundreds of
+// replay (a FaultyChannel built from a FaultTrace; the benchmark keeps its
+// historical trace_channel name) is the shrinker's inner predicate — ddmin calls it hundreds of
 // times per minimization, so replay throughput bounds how large a
 // violating trace the nightly campaign can afford to shrink. The campaign
 // step is one full session (build stack, run engine, record trace, check

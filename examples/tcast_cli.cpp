@@ -183,10 +183,10 @@ int main(int argc, char** argv) {
       faults::FaultPlan plan = *opts.fault_plan;
       plan.seed = opts.fault_seed + trial;  // replayable per trial
       faults::FaultyChannel faulty(base, nodes, plan);
-      faulty.set_session(trial);  // log lines render "s=TRIAL q=..."
       const auto out = spec->run(faulty, nodes, opts.t, rng, eopts);
-      faults_injected += faulty.log().size();
-      for (const auto& ev : faulty.log().events()) {
+      const auto trace = faulty.trace();
+      faults_injected += trace.events.size();
+      for (const auto& ev : trace.events) {
         if (ev.kind == faults::FaultEvent::Kind::kCrash)
           ++census[ev.node].crashes;
         else if (ev.kind == faults::FaultEvent::Kind::kReboot)
@@ -194,9 +194,10 @@ int main(int argc, char** argv) {
       }
       for (const NodeId id : nodes)
         if (faulty.is_crashed(id)) ++census[id].ended_down;
-      if (opts.verbose && !faulty.log().empty())
-        std::printf("trial %zu faults (plan %s):\n%s", trial,
-                    plan.spec().c_str(), faulty.log().to_string().c_str());
+      // The trace spec is a replay input: FaultTrace::parse accepts it.
+      if (opts.verbose && !trace.events.empty())
+        std::printf("trial %zu faults (plan %s): %s\n", trial,
+                    plan.spec().c_str(), trace.to_spec().c_str());
       return out;
     };
 

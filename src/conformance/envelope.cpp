@@ -79,7 +79,7 @@ EnvelopePoint measure_envelope(const EnvelopeConfig& cfg) {
     if (!outcome.decision && truth) ++pt.false_no;
     total_queries += outcome.queries;
     total_retries += outcome.retries;
-    pt.faults_injected += faulty.log().size();
+    pt.faults_injected += faulty.trace().events.size();
     pt.faults_seen += outcome.faults_seen;
   }
 

@@ -53,7 +53,7 @@ struct EnvelopePoint {
   std::size_t false_no = 0;   ///< decision false while x ≥ t
   double mean_queries = 0.0;
   double mean_retries = 0.0;
-  std::size_t faults_injected = 0;  ///< FaultLog events across all trials
+  std::size_t faults_injected = 0;  ///< injected fault events, all trials
   std::size_t faults_seen = 0;      ///< engine-detected (contradicted empties)
 
   double false_yes_rate() const {

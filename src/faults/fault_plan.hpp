@@ -18,7 +18,7 @@
 //                      returns after a fixed number of queries
 //
 // A plan is a pure value: the same plan (its `seed` included) injected into
-// the same run reproduces the identical FaultLog and outcome, which is what
+// the same run reproduces the identical FaultTrace and outcome, which is what
 // makes every injected-fault failure replayable. Plans round-trip through a
 // compact spec string (`parse` / `spec`) so a failing sweep point can be
 // re-run from the command line (`tcast_cli --fault-plan ...`).
@@ -57,7 +57,7 @@ struct FaultPlan {
   /// Queries until a crashed node reboots and rejoins; 0 = never.
   std::size_t reboot_after = 0;
   /// Root of the fault RNG stream. Part of the plan: replaying the same
-  /// plan (seed included) reproduces the identical FaultLog.
+  /// plan (seed included) reproduces the identical FaultTrace.
   std::uint64_t seed = 1;
 
   /// True when any injected fault can make the channel misreport — the

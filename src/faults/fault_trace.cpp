@@ -1,7 +1,8 @@
 #include "faults/fault_trace.hpp"
 
+#include <algorithm>
+
 #include "common/text_codec.hpp"
-#include "faults/faulty_channel.hpp"
 
 namespace tcast::faults {
 namespace {
@@ -28,11 +29,10 @@ std::optional<FaultEvent::Kind> parse_kind(std::string_view code) {
 
 }  // namespace
 
-FaultTrace FaultTrace::record(const FaultyChannel& channel) {
-  FaultTrace trace;
-  trace.events = channel.log().events();
-  trace.lossy = channel.lossy();
-  return trace;
+std::size_t FaultTrace::count(FaultEvent::Kind kind) const {
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [kind](const FaultEvent& e) { return e.kind == kind; }));
 }
 
 std::optional<FaultTrace> FaultTrace::parse(std::string_view text) {

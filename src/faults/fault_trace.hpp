@@ -1,18 +1,21 @@
-// FaultTrace: an explicit, serializable per-query fault schedule.
+// FaultTrace: the one record of injected faults — an explicit,
+// serializable per-query fault schedule.
 //
 // Where a FaultPlan is *generative* (probabilities + a seed), a FaultTrace
 // is *extensional*: the literal list of fault events, each pinned to the
-// query index at which it fires. A trace can be
+// query index at which it fires. A trace is
 //
-//   - recorded from any FaultyChannel run (`record`) — the channel's
-//     FaultLog *is* the schedule, since fault injection is a pure function
-//     of (plan, query index);
-//   - replayed verbatim through a TraceChannel, which consumes no RNG and
-//     reproduces the exact same sequence of injected faults on any inner
-//     channel — the replay half of the chaos engine's record/replay loop;
+//   - what every FaultyChannel run records (`FaultyChannel::trace()`) —
+//     fault injection is a pure function of (plan, query index, result),
+//     so the injected events *are* the schedule;
+//   - replayed verbatim by a FaultyChannel built from it, which consumes no
+//     RNG and reproduces the exact same sequence of injected faults on any
+//     inner channel — the replay half of the chaos engine's record/replay
+//     loop;
 //   - round-tripped through a compact one-line spec (`to_spec`/`parse`),
-//     which is how the delta-debugging shrinker emits minimal reproducers
-//     and how regression tests pin them down.
+//     which is how the delta-debugging shrinker emits minimal reproducers,
+//     how regression tests pin them down, and what tcast_cli --verbose
+//     prints per trial.
 //
 // Spec grammar (comma-separated):
 //
@@ -23,30 +26,50 @@
 // e.g. "lossy=1,3:fe,10:cr:2,15:rb:2". `cr`/`rb` require a node; `fe`/`sp`
 // forbid one; `dg` takes an optional node (the capture that was downgraded
 // when recorded — ignored on replay, where the actual captured node is
-// logged). The `lossy` bit preserves the recording channel's lossy() claim
-// so the engine's soundness gate behaves identically under replay.
+// recorded). The `lossy` bit preserves the recording channel's lossy()
+// claim so the engine's soundness gate behaves identically under replay.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "faults/fault_log.hpp"
+#include "common/types.hpp"
 
 namespace tcast::faults {
 
-class FaultyChannel;
+struct FaultEvent {
+  enum class Kind : std::uint8_t {
+    kFalseEmpty,       ///< non-empty bin reported as silence
+    kCaptureDowngrade, ///< capture decoded as mere activity
+    kSpuriousActivity, ///< empty bin reported as activity
+    kCrash,            ///< node stopped replying
+    kReboot,           ///< crashed node rejoined
+  };
+
+  Kind kind = Kind::kFalseEmpty;
+  /// Query index (0-based, in the faulty channel's own accounting) at which
+  /// the fault fired. Crash/reboot events use the index of the query whose
+  /// pre-processing triggered them.
+  QueryCount at_query = 0;
+  /// The node involved, when the fault names one (crash, reboot, downgraded
+  /// capture); kNoNode otherwise.
+  NodeId node = kNoNode;
+
+  bool operator==(const FaultEvent&) const = default;
+};
 
 struct FaultTrace {
   std::vector<FaultEvent> events;
-  /// Whether the recording fault layer declared itself lossy(); replayed
-  /// TraceChannels report at least this.
+  /// Whether the recording fault layer declared itself lossy(); a replaying
+  /// FaultyChannel reports at least this.
   bool lossy = false;
 
-  /// Snapshots a FaultyChannel's injected-fault schedule (its FaultLog)
-  /// plus its lossy() claim. Record after the run completes.
-  static FaultTrace record(const FaultyChannel& channel);
+  /// Events of one kind.
+  std::size_t count(FaultEvent::Kind kind) const;
 
   /// Parses the spec grammar above; nullopt on any malformed token,
   /// missing/forbidden node, or unknown kind.

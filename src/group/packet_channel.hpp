@@ -92,7 +92,7 @@ class PacketChannel final : public QueryChannel, public ChannelFaultControl {
 
   // --- ChannelFaultControl: frame-level fault determinism ---------------
   //
-  // Fault injectors (faults/FaultyChannel, faults/TraceChannel) use these
+  // The fault injector (faults/FaultyChannel, live or replay) uses these
   // to push crash/reboot and loss faults below the query layer. A failed
   // node's radio powers off on the sim clock *mid-exchange*: the power-off
   // lands after the poll frame delivers (the mote hears the poll and arms)

@@ -50,7 +50,7 @@ struct BinQueryResult {
 };
 
 /// Frame-level fault hooks a packet-tier channel may expose (see
-/// faults/FaultyChannel and faults/TraceChannel). Where the abstract tier
+/// faults/FaultyChannel, live or replaying a trace). Where the abstract tier
 /// injects faults at query granularity, a channel implementing this
 /// interface takes them below the query layer, onto the sim clock: a failed
 /// node powers its radio off mid-exchange (it hears the poll, then dies

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "../common/spec_mutator.hpp"
 #include "chaos/chaos_engine.hpp"
 
 namespace tcast::chaos {
@@ -62,6 +64,34 @@ TEST(ChaosScenario, ParseRejectsMalformedSpecs) {
       EXPECT_FALSE(ChaosScenario::parse(text).has_value()) << text;
     }
   }
+}
+
+TEST(ChaosScenario, MutatedSpecsParseToRoundTripsOrTypedErrors) {
+  // Every mutant of a valid scenario spec either parses to a scenario whose
+  // spec() reads back equal, or is rejected with nullopt.
+  const std::vector<std::string> seeds = {
+      ChaosScenario{}.spec(),
+      "algo=2tbins;n=24;x=8;t=8;model=2+;tier=exact;seed=5;"
+      "plan=iid=0.05,seed=7",
+      "algo=abns:2t;n=33;x=12;t=9;model=2+;tier=packet;seed=77;"
+      "plan=ge=0.02:0.25:0:0.7,crash=0.01,seed=5;retry=fixed:3;unsafe=1",
+      "algo=expinc;n=7;x=4;t=3;model=1+;tier=packet;seed=2;"
+      "plan=downgrade=0.1,spurious=0.2,crash=0.1,reboot=4,seed=2;"
+      "retry=adaptive:0.123456789:3",
+  };
+  RngStream rng(0xC4A05F22, 0);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const auto text = testing::mutate_spec(
+        seeds, "algo=;ntxmdelirsepu,:.0123456789+-abcfgkq", ';', rng);
+    const auto sc = ChaosScenario::parse(text);
+    if (!sc) continue;
+    ++accepted;
+    const auto back = ChaosScenario::parse(sc->spec());
+    ASSERT_TRUE(back.has_value()) << text << " -> " << sc->spec();
+    ASSERT_EQ(*back, *sc) << text << " -> " << sc->spec();
+  }
+  EXPECT_GT(accepted, 1000u);  // the mutants must reach the accept path
 }
 
 TEST(ChaosEngine, CleanSessionHasNoViolationsOnBothTiers) {

@@ -53,7 +53,8 @@ TEST(CountingChaos, SeededCampaignIsGreen) {
 
 TEST(CountingChaos, ViolatingFreeSessionsReplayBitIdentically) {
   // Record one lossy exact-tier session per adapter and replay it: the
-  // TraceChannel must reproduce outcome, query count and fault schedule.
+  // replaying FaultyChannel must reproduce outcome, query count and fault
+  // schedule.
   for (const auto& spec : core::counting_registry()) {
     ChaosScenario sc;
     sc.algorithm = "count:" + spec.name;

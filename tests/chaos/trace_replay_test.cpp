@@ -1,9 +1,9 @@
 // Record/replay fidelity: the tentpole guarantee that a FaultTrace
 // recorded from a live FaultyChannel run replays bit-identically through a
-// TraceChannel — same outcome, query count, fault log, and next raw RNG
-// word — on the exact tier, on the packet tier (where the same trace
-// drives frame-level crash/reboot/loss), and across tiers for crash
-// schedules.
+// FaultyChannel built from it — same outcome, query count, re-recorded
+// trace, and next raw RNG word — on the exact tier, on the packet tier
+// (where the same trace drives frame-level crash/reboot/loss), and across
+// tiers for crash schedules.
 #include <gtest/gtest.h>
 
 #include "chaos/chaos_engine.hpp"

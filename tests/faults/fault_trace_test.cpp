@@ -1,11 +1,13 @@
-// FaultTrace: spec round-trip, parse rejection, and recording from a
-// FaultyChannel run.
+// FaultTrace: spec round-trip, parse rejection (including a seeded
+// mutation fuzz: every mutant is a typed rejection or a round trip), and
+// recording from a FaultyChannel run.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "../common/spec_mutator.hpp"
 #include "faults/fault_trace.hpp"
 #include "faults/faulty_channel.hpp"
 #include "group/exact_channel.hpp"
@@ -60,6 +62,32 @@ TEST(FaultTrace, RejectsMalformedSpecs) {
   EXPECT_FALSE(FaultTrace::parse("lossy=1,3:cr:4294967296").has_value());
 }
 
+TEST(FaultTrace, MutatedSpecsParseToRoundTripsOrTypedErrors) {
+  // Every mutant of a valid spec either parses to a trace that round-trips
+  // or is rejected with nullopt — never an abort or an accepted value
+  // whose canonical spec reads back differently.
+  const std::vector<std::string> seeds = {
+      "lossy=0",
+      "lossy=1,3:fe,10:cr:2,15:rb:2",
+      "lossy=0,0:sp,1:dg,2:dg:7,9:fe",
+      "lossy=1,100:cr:0,100:rb:0",
+      "lossy=1,0:dg:4294967294",
+  };
+  RngStream rng(0x5EED7ACE, 0);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const auto text = testing::mutate_spec(seeds, "lossy=01:,fedgsprcb9", ',',
+                                           rng);
+    const auto trace = FaultTrace::parse(text);
+    if (!trace) continue;
+    ++accepted;
+    const auto back = FaultTrace::parse(trace->to_spec());
+    ASSERT_TRUE(back.has_value()) << text;
+    ASSERT_EQ(*back, *trace) << text;
+  }
+  EXPECT_GT(accepted, 1000u);  // the mutants must reach the accept path
+}
+
 TEST(FaultTrace, EventOrderAndNodesSurviveRoundTrip) {
   FaultTrace trace;
   trace.lossy = true;
@@ -78,9 +106,9 @@ TEST(FaultTrace, RecordSnapshotsTheFaultLog) {
   FaultyChannel faulty(exact, nodes, *FaultPlan::parse("iid=1"));
   faulty.query_set(nodes);
   faulty.query_set(nodes);
-  const auto trace = FaultTrace::record(faulty);
+  const auto trace = faulty.trace();
   EXPECT_TRUE(trace.lossy);
-  EXPECT_EQ(trace.events, faulty.log().events());
+  EXPECT_EQ(trace.count(FaultEvent::Kind::kFalseEmpty), 2u);
   ASSERT_EQ(trace.events.size(), 2u);
   EXPECT_EQ(trace.to_spec(), "lossy=1,0:fe,1:fe");
 }
@@ -91,7 +119,7 @@ TEST(FaultTrace, RecordOfCleanRunIsEmptyAndNotLossy) {
   const auto nodes = exact.all_nodes();
   FaultyChannel faulty(exact, nodes, FaultPlan{});
   faulty.query_set(nodes);
-  const auto trace = FaultTrace::record(faulty);
+  const auto trace = faulty.trace();
   EXPECT_FALSE(trace.lossy);
   EXPECT_TRUE(trace.events.empty());
   EXPECT_EQ(trace.to_spec(), "lossy=0");

@@ -1,14 +1,15 @@
 // FaultyChannel: per-kind injection mechanics, crash/reboot bookkeeping,
-// the Gilbert–Elliott burstiness it was built for, and the replay
-// guarantee (same plan + same run ⇒ identical FaultLog and outcome).
+// the Gilbert–Elliott burstiness it was built for, the replay guarantee
+// (same plan + same run ⇒ identical FaultTrace and outcome), and replayed
+// traces, including events naming nodes outside the run.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/registry.hpp"
 #include "faults/faulty_channel.hpp"
-#include "faults/trace_channel.hpp"
 #include "group/exact_channel.hpp"
+#include "group/packet_channel.hpp"
 
 namespace tcast::faults {
 namespace {
@@ -29,7 +30,7 @@ TEST(FaultyChannel, CleanPlanIsTransparent) {
   EXPECT_FALSE(faulty.lossy());
   for (int i = 0; i < 8; ++i)
     EXPECT_TRUE(faulty.query_set(nodes).nonempty());
-  EXPECT_TRUE(faulty.log().empty());
+  EXPECT_TRUE(faulty.trace().events.empty());
   EXPECT_EQ(faulty.queries_used(), 8u);
 }
 
@@ -41,10 +42,10 @@ TEST(FaultyChannel, CertainLossReadsNonEmptyBinsAsSilence) {
   EXPECT_TRUE(faulty.lossy());
   const auto r = faulty.query_set(nodes);
   EXPECT_EQ(r.kind, group::BinQueryResult::Kind::kEmpty);
-  ASSERT_EQ(faulty.log().size(), 1u);
-  EXPECT_EQ(faulty.log().events().front().kind,
+  ASSERT_EQ(faulty.trace().events.size(), 1u);
+  EXPECT_EQ(faulty.trace().events.front().kind,
             FaultEvent::Kind::kFalseEmpty);
-  EXPECT_EQ(faulty.log().events().front().at_query, 0u);
+  EXPECT_EQ(faulty.trace().events.front().at_query, 0u);
 }
 
 TEST(FaultyChannel, LossNeverManufacturesActivity) {
@@ -56,7 +57,7 @@ TEST(FaultyChannel, LossNeverManufacturesActivity) {
     EXPECT_EQ(faulty.query_set(nodes).kind,
               group::BinQueryResult::Kind::kEmpty);
   // Loss only fires on non-empty results; truly-empty bins log nothing.
-  EXPECT_TRUE(faulty.log().empty());
+  EXPECT_TRUE(faulty.trace().events.empty());
 }
 
 TEST(FaultyChannel, DowngradeTurnsCaptureIntoActivity) {
@@ -69,10 +70,10 @@ TEST(FaultyChannel, DowngradeTurnsCaptureIntoActivity) {
   // The lone reply would have captured node 2; the downgrade erases the
   // decode but not the energy.
   EXPECT_EQ(r.kind, group::BinQueryResult::Kind::kActivity);
-  ASSERT_EQ(faulty.log().size(), 1u);
-  EXPECT_EQ(faulty.log().events().front().kind,
+  ASSERT_EQ(faulty.trace().events.size(), 1u);
+  EXPECT_EQ(faulty.trace().events.front().kind,
             FaultEvent::Kind::kCaptureDowngrade);
-  EXPECT_EQ(faulty.log().events().front().node, NodeId{2});
+  EXPECT_EQ(faulty.trace().events.front().node, NodeId{2});
 }
 
 TEST(FaultyChannel, SpuriousActivityTurnsSilenceIntoActivity) {
@@ -82,7 +83,7 @@ TEST(FaultyChannel, SpuriousActivityTurnsSilenceIntoActivity) {
   FaultyChannel faulty(exact, nodes, *FaultPlan::parse("spurious=1"));
   const auto r = faulty.query_set(nodes);
   EXPECT_EQ(r.kind, group::BinQueryResult::Kind::kActivity);
-  EXPECT_EQ(faulty.log().count(FaultEvent::Kind::kSpuriousActivity), 1u);
+  EXPECT_EQ(faulty.trace().count(FaultEvent::Kind::kSpuriousActivity), 1u);
 }
 
 TEST(FaultyChannel, CrashSilencesTheVictim) {
@@ -96,7 +97,7 @@ TEST(FaultyChannel, CrashSilencesTheVictim) {
             group::BinQueryResult::Kind::kEmpty);
   EXPECT_TRUE(faulty.is_crashed(0));
   EXPECT_EQ(faulty.crashed_count(), 1u);
-  EXPECT_EQ(faulty.log().count(FaultEvent::Kind::kCrash), 1u);
+  EXPECT_EQ(faulty.trace().count(FaultEvent::Kind::kCrash), 1u);
 }
 
 TEST(FaultyChannel, RebootScheduleFiresAndIsLogged) {
@@ -108,8 +109,8 @@ TEST(FaultyChannel, RebootScheduleFiresAndIsLogged) {
   faulty.query_set(nodes);  // q1: still down
   EXPECT_TRUE(faulty.is_crashed(0));
   faulty.query_set(nodes);  // q2: reboot fires (then crash=1 re-crashes)
-  EXPECT_EQ(faulty.log().count(FaultEvent::Kind::kReboot), 1u);
-  EXPECT_EQ(faulty.log().count(FaultEvent::Kind::kCrash), 2u);
+  EXPECT_EQ(faulty.trace().count(FaultEvent::Kind::kReboot), 1u);
+  EXPECT_EQ(faulty.trace().count(FaultEvent::Kind::kCrash), 2u);
 }
 
 TEST(FaultyChannel, GilbertElliottLossIsBursty) {
@@ -142,7 +143,8 @@ TEST(FaultyChannel, GilbertElliottLossIsBursty) {
   EXPECT_GT(after_loss, 4.0 * marginal);  // the burstiness itself
 }
 
-core::ThresholdOutcome run_with_plan(const FaultPlan& plan, FaultLog* log) {
+core::ThresholdOutcome run_with_plan(const FaultPlan& plan,
+                                     FaultTrace* trace) {
   RngStream pos_rng(5, 0);
   std::vector<bool> positive(24, false);
   for (const NodeId id : pos_rng.sample_subset(24, 8))
@@ -158,18 +160,18 @@ core::ThresholdOutcome run_with_plan(const FaultPlan& plan, FaultLog* log) {
   opts.ordering = core::BinOrdering::kInOrder;
   const auto* spec = core::find_algorithm("2tbins");
   const auto out = spec->run(faulty, nodes, 8, algo_rng, opts);
-  if (log) *log = faulty.log();
+  if (trace) *trace = faulty.trace();
   return out;
 }
 
 TEST(FaultyChannel, SamePlanReplaysIdentically) {
   const auto plan =
       *FaultPlan::parse("ge=0.05:0.2:0:0.8,downgrade=0.2,crash=0.01,seed=21");
-  FaultLog first_log, second_log;
+  FaultTrace first_log, second_log;
   const auto first = run_with_plan(plan, &first_log);
   const auto second = run_with_plan(plan, &second_log);
   EXPECT_EQ(first_log, second_log);
-  EXPECT_FALSE(first_log.empty());  // the plan must actually have fired
+  EXPECT_FALSE(first_log.events.empty());  // the plan must have fired
   EXPECT_EQ(first.decision, second.decision);
   EXPECT_EQ(first.queries, second.queries);
   EXPECT_EQ(first.rounds, second.rounds);
@@ -178,7 +180,7 @@ TEST(FaultyChannel, SamePlanReplaysIdentically) {
 TEST(FaultyChannel, DifferentSeedsDrawDifferentFaults) {
   auto plan =
       *FaultPlan::parse("ge=0.05:0.2:0:0.8,downgrade=0.2,crash=0.01,seed=21");
-  FaultLog a, b;
+  FaultTrace a, b;
   run_with_plan(plan, &a);
   plan.seed = 22;
   run_with_plan(plan, &b);
@@ -196,18 +198,19 @@ TEST(FaultyChannel, RebootFiresExactlyAtRebootAfter) {
   faulty.query_set(nodes);  // q0: crash, reboot due at q3
   faulty.query_set(nodes);  // q1
   faulty.query_set(nodes);  // q2
-  EXPECT_EQ(faulty.log().count(FaultEvent::Kind::kReboot), 0u);
+  EXPECT_EQ(faulty.trace().count(FaultEvent::Kind::kReboot), 0u);
   EXPECT_TRUE(faulty.is_crashed(0));
   faulty.query_set(nodes);  // q3: reboot fires
-  ASSERT_EQ(faulty.log().count(FaultEvent::Kind::kReboot), 1u);
-  for (const auto& e : faulty.log().events()) {
+  const auto trace = faulty.trace();
+  ASSERT_EQ(trace.count(FaultEvent::Kind::kReboot), 1u);
+  for (const auto& e : trace.events) {
     if (e.kind != FaultEvent::Kind::kReboot) continue;
     EXPECT_EQ(e.at_query, 3u);  // crash at q0 + reboot_after 3
     EXPECT_EQ(e.node, NodeId{0});
   }
 }
 
-TEST(TraceChannel, CrashOfJustCapturedNodeSilencesIt) {
+TEST(FaultyChannel, ReplayedCrashOfJustCapturedNodeSilencesIt) {
   // Boundary: the node captured at query q crashes at query q+1. The
   // capture already confirmed it; the crash must only silence it from
   // later queries, not resurrect or double-count it.
@@ -216,7 +219,7 @@ TEST(TraceChannel, CrashOfJustCapturedNodeSilencesIt) {
                           group::CollisionModel::kTwoPlus);
   const auto nodes = exact.all_nodes();
   const auto trace = *FaultTrace::parse("lossy=1,1:cr:2");
-  TraceChannel traced(exact, trace);
+  FaultyChannel traced(exact, nodes, trace);
   const auto first = traced.query_set(nodes);  // q0: lone positive captured
   ASSERT_EQ(first.kind, group::BinQueryResult::Kind::kCaptured);
   EXPECT_EQ(first.captured, NodeId{2});
@@ -244,34 +247,54 @@ TEST(FaultyChannel, CrashWithOneCandidateRemainingDecidesFalse) {
   EXPECT_EQ(out.confirmed_positives, 0u);
 }
 
-TEST(FaultLog, SessionIndexRendersWhenSet) {
-  RngStream rng(1, 0);
-  auto exact = make_exact({true, true}, rng);
-  const auto nodes = exact.all_nodes();
-  FaultyChannel faulty(exact, nodes, *FaultPlan::parse("iid=1"));
-  faulty.set_session(7);
-  faulty.query_set(nodes);
-  const auto text = faulty.log().to_string();
-  EXPECT_NE(text.find("s=7 q=0 false-empty"), std::string::npos) << text;
+core::ThresholdOutcome replay_on(group::QueryChannel& channel,
+                                 std::span<const NodeId> nodes,
+                                 const FaultTrace& trace,
+                                 FaultTrace* rerecorded) {
+  RngStream algo_rng(3, 2);
+  FaultyChannel faulty(channel, nodes, trace);
+  core::EngineOptions opts;
+  opts.ordering = core::BinOrdering::kInOrder;
+  const auto out =
+      core::find_algorithm("2tbins")->run(faulty, nodes, 3, algo_rng, opts);
+  *rerecorded = faulty.trace();
+  return out;
 }
 
-TEST(FaultLog, EqualityIgnoresSessionTag) {
-  FaultLog a, b;
-  a.record(FaultEvent::Kind::kCrash, 3, NodeId{1});
-  b.record(FaultEvent::Kind::kCrash, 3, NodeId{1});
-  b.set_session(12);
-  EXPECT_EQ(a, b);  // same schedule from different trials compares equal
-}
-
-TEST(FaultyChannel, LogRendersForBlame) {
-  RngStream rng(1, 0);
-  auto exact = make_exact({true, true}, rng);
-  const auto nodes = exact.all_nodes();
-  FaultyChannel faulty(exact, nodes, *FaultPlan::parse("iid=1"));
-  faulty.query_set(nodes);
-  const auto text = faulty.log().to_string();
-  EXPECT_NE(text.find("false-empty"), std::string::npos) << text;
-  EXPECT_NE(text.find("q=0"), std::string::npos) << text;
+TEST(FaultyChannel, ReplaySkipsEventsNamingNodesOutsideTheRun) {
+  // Valid specs whose nodes lie outside the run: the injector's state is
+  // sized from the participants (not from the largest node id in the
+  // trace), a crash of a non-participant is neither applied nor recorded,
+  // and a downgrade's recorded node is ignored on replay. On the packet
+  // tier the crash would otherwise reach PacketChannel::fail_node with an
+  // unknown mote.
+  const std::vector<bool> positive = {true, false, true, true,
+                                      false, true, false, false};
+  for (const char* spec : {"lossy=1,0:dg:4294967294", "lossy=1,0:cr:99"}) {
+    const auto trace = *FaultTrace::parse(spec);
+    for (const bool packet_tier : {false, true}) {
+      SCOPED_TRACE(std::string(spec) + (packet_tier ? " packet" : " exact"));
+      FaultTrace rerecorded;
+      if (packet_tier) {
+        group::PacketChannel::Config cfg;
+        cfg.seed = 5;
+        group::PacketChannel packet(
+            std::vector<bool>(positive.begin(), positive.begin() + 6), cfg);
+        const auto out =
+            replay_on(packet, packet.all_nodes(), trace, &rerecorded);
+        EXPECT_TRUE(out.decision);  // 4 of 6 positive, t = 3
+      } else {
+        RngStream rng(3, 1);
+        auto exact = make_exact(positive, rng);
+        const auto out =
+            replay_on(exact, exact.all_nodes(), trace, &rerecorded);
+        EXPECT_TRUE(out.decision);  // 4 of 8 positive, t = 3
+      }
+      EXPECT_EQ(rerecorded.count(FaultEvent::Kind::kCrash), 0u);
+      for (const auto& e : rerecorded.events)
+        EXPECT_NE(e.node, NodeId{4294967294u});
+    }
+  }
 }
 
 }  // namespace

@@ -172,7 +172,7 @@ TEST(RetryPolicy, RetriesAndFaultsSeenAreSurfaced) {
   EXPECT_EQ(out.queries, faulty.queries_used());
   // Every engine-detected fault is one the channel actually injected.
   EXPECT_LE(out.faults_seen,
-            faulty.log().count(faults::FaultEvent::Kind::kFalseEmpty));
+            faulty.trace().count(faults::FaultEvent::Kind::kFalseEmpty));
 }
 
 TEST(RetryPolicy, AdaptiveBudgetGrowsWithObservedLoss) {

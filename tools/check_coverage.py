@@ -2,11 +2,11 @@
 """Line-coverage gate for the core libraries, built on bare gcov.
 
 Walks a build tree for .gcda files, runs `gcov --json-format --stdout` on
-each, and aggregates executable/executed line counts per source file. Two
-subjects are gated: src/common and src/core. Their combined line coverage
-must not drop below the committed baseline (tools/coverage_baseline.json)
-by more than --tolerance; a run that *gains* coverage prints a hint to
-re-record the baseline but never fails.
+each, and aggregates executable/executed line counts per source file. Three
+subjects are gated: src/common, src/core and src/faults. Their combined
+line coverage must not drop below the committed baseline
+(tools/coverage_baseline.json) by more than --tolerance; a run that *gains*
+coverage prints a hint to re-record the baseline but never fails.
 
 No gcovr/lcov dependency — CI containers only carry the compiler, and
 gcov's JSON mode (GCC ≥ 9) has everything a line gate needs. Also emits a
@@ -28,12 +28,15 @@ import subprocess
 import sys
 
 # Repo-relative directory prefixes whose combined line coverage is gated.
-GATED_PREFIXES = ("src/common/", "src/core/")
+GATED_PREFIXES = ("src/common/", "src/core/", "src/faults/")
+GATED_NAMES = " + ".join(p.rstrip("/") for p in GATED_PREFIXES)
 
 
 def find_gcda(build_dir):
+    # Absolute paths: gcov runs from each .gcda's own directory, where a
+    # path relative to the caller's directory would not resolve.
     out = []
-    for root, _dirs, files in os.walk(build_dir):
+    for root, _dirs, files in os.walk(os.path.abspath(build_dir)):
         for name in files:
             if name.endswith(".gcda"):
                 out.append(os.path.join(root, name))
@@ -144,7 +147,7 @@ def render_html(per_file, gated_covered, gated_total, out_path):
  .headline {{ font-size: 1.2em; margin-bottom: 1em; }}
 </style></head><body>
 <h1>tcast line coverage</h1>
-<p class="headline">Gated subjects (src/common + src/core, marked *):
+<p class="headline">Gated subjects ({GATED_NAMES}, marked *):
 <b>{gated_covered}/{gated_total} lines
 ({pct(gated_covered, gated_total):.2f}%)</b></p>
 <table><tr><th>source</th><th>lines</th><th>coverage</th></tr>
@@ -186,7 +189,7 @@ def main(argv=None):
                          f"({', '.join(GATED_PREFIXES)}) in the gcov output")
 
     fraction = gated_covered / gated_total
-    print(f"check_coverage: src/common + src/core line coverage "
+    print(f"check_coverage: {GATED_NAMES} line coverage "
           f"{gated_covered}/{gated_total} = {fraction:.2%}")
 
     if args.html_out:
