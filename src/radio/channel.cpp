@@ -12,19 +12,27 @@ Channel::Channel(sim::Simulator& simulator, ChannelConfig cfg)
   if (!cfg_.capture) cfg_.capture = std::make_shared<NoCaptureModel>();
 }
 
-void Channel::attach(Radio& r) {
-  TCAST_CHECK(std::find(radios_.begin(), radios_.end(), &r) == radios_.end());
-  radios_.push_back(&r);
-  receptions_.emplace_back(&r, Reception{});
+std::size_t Channel::attach(Radio& r) {
+  // A slot attached mid-frame must not count frames launched before it.
+  slots_.push_back(Slot{.radio = &r, .first = log_end()});
+  return slots_.size() - 1;
 }
 
 void Channel::detach(Radio& r) {
-  std::erase(radios_, &r);
-  for (auto& [radio, rec] : receptions_)
-    if (radio == &r)
-      for (Tx* t : rec.frames) release_tx(t);
-  std::erase_if(receptions_,
-                [&r](const auto& entry) { return entry.first == &r; });
+  // Its frames still on the air end without a sender to notify.
+  for (Tx* t : log_)
+    if (t->sender == &r) t->sender = nullptr;
+  slots_[r.slot_] = Slot{};
+  ++dead_slots_;
+  while (!slots_.empty() && slots_.back().radio == nullptr) {
+    slots_.pop_back();
+    --dead_slots_;
+  }
+  if (2 * dead_slots_ <= slots_.size()) return;
+  // Stable compaction: attach order (and so RNG draw order) is kept.
+  std::erase_if(slots_, [](const Slot& s) { return s.radio == nullptr; });
+  dead_slots_ = 0;
+  for (std::size_t i = 0; i < slots_.size(); ++i) slots_[i].radio->slot_ = i;
 }
 
 Channel::Tx* Channel::acquire_tx() {
@@ -35,29 +43,8 @@ Channel::Tx* Channel::acquire_tx() {
   return tx;
 }
 
-void Channel::release_tx(Tx* tx) {
-  TCAST_CHECK(tx->refs > 0);
-  if (--tx->refs == 0) tx_free_.push_back(tx);
-}
-
-Channel::Reception& Channel::reception(Radio& r) {
-  for (auto& [radio, rec] : receptions_)
-    if (radio == &r) return rec;
-  TCAST_CHECK_MSG(false, "radio is not attached to this channel");
-  return receptions_.front().second;  // unreachable
-}
-
-bool Channel::in_range(const Radio& a, const Radio& b) const {
-  if (cfg_.range <= 0.0) return true;
-  const double dx = a.pos_x() - b.pos_x();
-  const double dy = a.pos_y() - b.pos_y();
-  return dx * dx + dy * dy <= cfg_.range * cfg_.range;
-}
-
 bool Channel::busy_near(const Radio& listener) const {
-  for (const auto& [radio, rec] : receptions_)
-    if (radio == &listener) return rec.on_air > 0;
-  return false;
+  return slots_[listener.slot_].on_air > 0;
 }
 
 bool Channel::tx_audible(const Tx& tx, const Radio& r) const {
@@ -90,25 +77,26 @@ void Channel::launch(Tx* tx) {
   const SimTime now = sim_->now();
   tx->start = now;
   tx->end = now + airtime(tx->frame);
-  tx->refs = 1;  // the pending end event
+  tx->seq = log_end();
+  log_.push_back(tx);
   ++active_;
   // Fold the frame into the busy period of every radio that can hear it.
-  for (auto& [radio, rec] : receptions_) {
-    if (radio == tx->sender) {
+  for (Slot& s : slots_) {
+    if (s.radio == nullptr) continue;
+    if (s.radio == tx->sender) {
       // A transmitter talking into its own open period corrupts it.
-      if (rec.on_air > 0) rec.sent_own = true;
+      if (s.on_air > 0) s.sent_own = true;
       continue;
     }
-    if (!tx_audible(*tx, *radio)) continue;
-    if (rec.on_air == 0 && rec.frames.empty()) {
-      rec.start = now;
-      rec.sent_own = radio->transmitting();
-    } else if (radio->transmitting()) {
-      rec.sent_own = true;
+    if (!tx_audible(*tx, *s.radio)) continue;
+    if (s.on_air == 0) {
+      s.start = now;
+      s.first = tx->seq;
+      s.sent_own = s.transmitting;
+    } else if (s.transmitting) {
+      s.sent_own = true;
     }
-    rec.frames.push_back(tx);
-    ++tx->refs;
-    ++rec.on_air;
+    ++s.on_air;
   }
   // [this, tx] fits std::function's inline buffer — a by-value Tx (or a
   // shared_ptr) would cost one heap closure per transmission.
@@ -120,55 +108,75 @@ void Channel::on_transmission_end(Tx* tx) {
   --active_;
   if (active_ == 0) ++clusters_resolved_;  // a global busy period drained
   if (tx->sender != nullptr) tx->sender->channel_tx_done();
-  for (auto& [radio, rec] : receptions_) {
-    if (radio == tx->sender || !tx_audible(*tx, *radio)) continue;
-    TCAST_CHECK(rec.on_air > 0);
-    --rec.on_air;
-    if (rec.on_air == 0) {
-      // Swap the drained period out before resolving (delivery handlers may
-      // transmit and open a fresh period on this very radio), then park the
-      // frame vector in the spare so the next period reuses its capacity.
-      Reception finished = std::move(spare_rec_);
-      std::swap(finished, rec);
-      resolve_reception(*radio, finished);
-      for (Tx* t : finished.frames) release_tx(t);
-      finished.frames.clear();
-      finished.start = 0;
-      finished.on_air = 0;
-      finished.sent_own = false;
-      spare_rec_ = std::move(finished);
-    }
+  // Indexed: delivery handlers may attach radios (growing slots_).
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    Slot& s = slots_[i];
+    if (s.radio == nullptr || s.radio == tx->sender || tx->seq < s.first ||
+        !tx_audible(*tx, *s.radio))
+      continue;
+    TCAST_CHECK(s.on_air > 0);
+    if (--s.on_air > 0) continue;
+    // Snapshot and reset the drained period before resolving: delivery
+    // handlers may transmit and open a fresh period on this very radio.
+    const bool sent_own = s.sent_own;
+    s.sent_own = false;
+    resolve_reception(*s.radio, s.start, s.first, sent_own);
   }
-  release_tx(tx);
+  if (active_ == 0 || log_.size() >= trim_at_) trim_log();
 }
 
-void Channel::resolve_reception(Radio& r, Reception& rec) {
-  if (rec.frames.empty()) return;
-  if (r.state() != RadioState::kRx) return;  // off or mid-transmission
-  const SimTime end = sim_->now();
-  r.channel_activity(rec.start, end);
-  if (rec.sent_own) return;  // half-duplex: sensed energy, decoded nothing
+void Channel::trim_log() {
+  std::uint64_t keep = log_end();
+  if (active_ > 0) {
+    for (const Slot& s : slots_)
+      if (s.radio != nullptr && s.on_air > 0) keep = std::min(keep, s.first);
+    const SimTime now = sim_->now();
+    for (const Tx* t : log_)
+      if (t->end >= now) {  // possibly still on the air
+        keep = std::min(keep, t->seq);
+        break;
+      }
+  }
+  const auto done = static_cast<std::ptrdiff_t>(keep - log_base_);
+  tx_free_.insert(tx_free_.end(), log_.begin(), log_.begin() + done);
+  log_.erase(log_.begin(), log_.begin() + done);
+  log_base_ = keep;
+  trim_at_ = std::max<std::size_t>(64, 2 * log_.size());
+}
 
-  const std::size_t k = rec.frames.size();
+void Channel::resolve_reception(Radio& r, SimTime start, std::uint64_t first,
+                                bool sent_own) {
+  if (r.state() != RadioState::kRx) return;  // off or mid-transmission
+  const std::uint64_t last = log_end();  // handlers below may transmit
+  const SimTime end = sim_->now();
+  r.channel_activity(start, end);
+  if (sent_own) return;  // half-duplex: sensed energy, decoded nothing
+
+  heard_.clear();
+  for (std::uint64_t seq = first; seq < last; ++seq) {
+    const Tx* tx = log_[seq - log_base_];
+    if (tx->sender != &r && tx_audible(*tx, r)) heard_.push_back(tx);
+  }
+  const std::size_t k = heard_.size();
   RngStream& rng = sim_->rng();
   const bool all_identical_hacks =
-      std::all_of(rec.frames.begin(), rec.frames.end(), [&](const Tx* tx) {
-        return hacks_identical(tx->frame, rec.frames.front()->frame);
+      std::all_of(heard_.begin(), heard_.end(), [&](const Tx* tx) {
+        return hacks_identical(tx->frame, heard_.front()->frame);
       });
   if (all_identical_hacks && k > 1) {
     if (cfg_.hack.decodes(k, rng)) {
       RxInfo info{.superposed = k, .contenders = k, .captured = false,
-                  .start = rec.start, .end = end};
-      r.channel_deliver(rec.frames.front()->frame, info);
+                  .start = start, .end = end};
+      r.channel_deliver(heard_.front()->frame, info);
     }
   } else if (k == 1) {
-    const Frame& frame = rec.frames.front()->frame;
+    const Frame& frame = heard_.front()->frame;
     const bool is_hack = frame.type == FrameType::kHack;
     const bool lost = is_hack ? !cfg_.hack.decodes(1, rng)
                               : rng.bernoulli(cfg_.clean_loss);
     if (!lost) {
       RxInfo info{.superposed = 1, .contenders = 1, .captured = false,
-                  .start = rec.start, .end = end};
+                  .start = start, .end = end};
       r.channel_deliver(frame, info);
     }
   } else {
@@ -176,8 +184,8 @@ void Channel::resolve_reception(Radio& r, Reception& rec) {
     // receiver one of them.
     if (const auto idx = cfg_.capture->captured_index(k, rng)) {
       RxInfo info{.superposed = 1, .contenders = k, .captured = true,
-                  .start = rec.start, .end = end};
-      r.channel_deliver(rec.frames[*idx]->frame, info);
+                  .start = start, .end = end};
+      r.channel_deliver(heard_[*idx]->frame, info);
     }
   }
 }

@@ -23,6 +23,18 @@
 // neighbouring-region interference in multihop topologies (the paper's
 // future-work setting). Positions must not change while frames are on the
 // air.
+//
+// Cost model. Each frame is appended once to a channel-wide air log. Each
+// radio owns a fixed-size receiver slot (indexed from the Radio) holding
+// its open busy period: start, log seq of the first frame, audible frames
+// still on the air, and whether it transmitted meanwhile. Starting or
+// ending a frame is one pass of O(1) counter updates over the slots —
+// O(radios) per frame, no per-receiver frame lists — and a drained period
+// gathers its frames from the log once: O(radios·k) per busy period of k
+// frames. CCA is one indexed read. The log is trimmed when the channel
+// idles, and, amortised, while it stays busy. A detached radio leaves a
+// tombstone; a stable compaction (attach order, hence RNG draw order, is
+// kept) reclaims them once they outnumber live slots.
 #pragma once
 
 #include <functional>
@@ -85,9 +97,6 @@ class Channel {
   sim::Simulator& simulator() { return *sim_; }
   const PhyParams& phy() const { return cfg_.phy; }
 
-  void attach(Radio& r);
-  void detach(Radio& r);
-
   /// Starts a transmission; the frame occupies the medium for airtime(f).
   /// Called by Radio::transmit.
   void begin_transmission(Radio& sender, Frame f);
@@ -108,9 +117,6 @@ class Channel {
   /// CCA signal a real radio samples. Equals busy() for infinite range.
   bool busy_near(const Radio& listener) const;
 
-  /// Unit-disk audibility between two radios.
-  bool in_range(const Radio& a, const Radio& b) const;
-
   SimTime airtime(const Frame& f) const {
     return static_cast<SimTime>(f.air_bytes()) * cfg_.phy.byte_time;
   }
@@ -118,53 +124,71 @@ class Channel {
   /// Lifetime count of global busy periods (diagnostics / tests).
   std::uint64_t clusters_resolved() const { return clusters_resolved_; }
 
+  /// Frames currently held in the air log (diagnostics / tests).
+  std::size_t air_log_size() const { return log_.size(); }
+
  private:
+  friend class Radio;  // attach/detach/set_transmitting
+
   struct Tx {
-    Radio* sender = nullptr;  ///< nullptr for injected (ghost) transmissions
+    Radio* sender = nullptr;  ///< nullptr: ghost, or sender detached
     Frame frame;
     double x = 0.0;  ///< transmit position, latched when the frame starts
     double y = 0.0;
     SimTime start = 0;
     SimTime end = 0;
-    std::uint32_t refs = 0;  ///< pending end event + receptions holding it
+    std::uint64_t seq = 0;  ///< position in the air log
   };
 
-  /// Per-receiver busy-period state.
-  struct Reception {
+  /// One attached radio (radio == nullptr: a detached tombstone) and its
+  /// busy period.
+  struct Slot {
+    Radio* radio = nullptr;
     SimTime start = 0;
-    std::size_t on_air = 0;   ///< audible foreign frames still transmitting
-    bool sent_own = false;    ///< this radio transmitted during the period
-    std::vector<Tx*> frames;  ///< pool-owned; ref-held until resolved
+    std::uint64_t first = 0;   ///< log seq of the period's first frame
+    std::uint32_t on_air = 0;  ///< audible foreign frames still on the air
+    bool sent_own = false;     ///< this radio transmitted during the period
+    bool transmitting = false; ///< mirrors Radio::transmitting()
   };
 
+  std::size_t attach(Radio& r);
+  void detach(Radio& r);
+  /// Mirrors Radio's kTx state into its slot, so launch reads no Radio.
+  void set_transmitting(std::size_t slot, bool on) {
+    slots_[slot].transmitting = on;
+  }
   Tx* acquire_tx();
-  void release_tx(Tx* tx);
-  /// Folds a prepared Tx (sender/frame/position set) into every audible
-  /// busy period and schedules its end. Shared by local and ghost paths.
+  /// Appends a prepared Tx (sender/frame/position set) to the air log,
+  /// folds it into every audible busy period and schedules its end. Shared
+  /// by local and ghost paths.
   void launch(Tx* tx);
   bool tx_audible(const Tx& tx, const Radio& r) const;
   void on_transmission_end(Tx* tx);
-  void resolve_reception(Radio& r, Reception& rec);
+  void resolve_reception(Radio& r, SimTime start, std::uint64_t first,
+                         bool sent_own);
+  /// Returns ended frames no open busy period reads to the pool.
+  void trim_log();
+  std::uint64_t log_end() const { return log_base_ + log_.size(); }
 
   sim::Simulator* sim_;
   ChannelConfig cfg_;
   TxTap tx_tap_;
-  std::vector<Radio*> radios_;
-  std::vector<std::pair<Radio*, Reception>> receptions_;  ///< by attach order
+  std::vector<Slot> slots_;  ///< attach order
+  std::size_t dead_slots_ = 0;
   std::size_t active_ = 0;  ///< transmissions on the air anywhere
   std::uint64_t clusters_resolved_ = 0;
 
   // Transmission pool: Tx objects (and their frames' payload capacity) are
-  // recycled through a free list instead of allocated per transmission, and
-  // a drained busy period parks its frame vector in `spare_rec_` so the
-  // next period reuses the capacity. Together with the event queue's slot
-  // pool this keeps the steady-state poll exchange heap-silent — audited
-  // by tests/perf/alloc_audit_test.cpp.
+  // recycled through a free list instead of allocated per transmission;
+  // the air log, its trim and the resolution scratch reuse their capacity.
+  // Together with the event queue's slot pool this keeps steady-state
+  // traffic heap-silent — audited by tests/perf/alloc_audit_test.cpp.
   std::vector<std::unique_ptr<Tx>> tx_pool_;
   std::vector<Tx*> tx_free_;
-  Reception spare_rec_;
-
-  Reception& reception(Radio& r);
+  std::vector<Tx*> log_;        ///< air log, launch order
+  std::uint64_t log_base_ = 0;  ///< seq of log_.front()
+  std::size_t trim_at_ = 0;     ///< log size that triggers a busy trim
+  std::vector<const Tx*> heard_;  ///< resolution scratch
 };
 
 }  // namespace tcast::radio

@@ -7,7 +7,7 @@ Radio::Radio(Channel& channel, NodeId owner, ShortAddr short_addr)
       sim_(&channel.simulator()),
       owner_(owner),
       short_addr_(short_addr) {
-  channel_->attach(*this);
+  slot_ = channel_->attach(*this);
 }
 
 Radio::~Radio() { channel_->detach(*this); }
@@ -72,6 +72,7 @@ void Radio::set_state(RadioState s) {
   if (s == state_) return;
   energy_.transition(s, sim_->now());
   state_ = s;
+  channel_->set_transmitting(slot_, s == RadioState::kTx);
 }
 
 }  // namespace tcast::radio

@@ -106,10 +106,13 @@ class Radio {
   void channel_tx_done();
 
  private:
+  friend class Channel;  // renumbers slot_ when it compacts its slots
+
   bool address_accepts(const Frame& f) const;
   void set_state(RadioState s);
 
   Channel* channel_;
+  std::size_t slot_ = 0;  ///< this radio's receiver slot in the channel
   sim::Simulator* sim_;
   NodeId owner_;
   ShortAddr short_addr_;

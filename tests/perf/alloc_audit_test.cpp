@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -25,7 +26,10 @@
 #include "group/binning.hpp"
 #include "group/exact_channel.hpp"
 #include "group/packet_channel.hpp"
+#include "radio/channel.hpp"
 #include "radio/hack_model.hpp"
+#include "radio/radio.hpp"
+#include "sim/simulator.hpp"
 
 // The counting global allocator lives in counting_allocator.cpp: in a
 // translation unit of its own, no caller can inline its malloc/free into a
@@ -138,6 +142,52 @@ TEST(AllocAudit, PacketTierQueriesAreAllocationFree) {
     for (std::size_t idx = 0; idx < a.bin_count(); ++idx)
       (void)channel.query_bin(a, idx);
   EXPECT_EQ(news(), before) << "packet-tier query touched the heap";
+}
+
+TEST(AllocAudit, RadioChannelBeaconTrafficIsAllocationFree) {
+  if (kSanitized) GTEST_SKIP() << "sanitizer allocator interposed";
+  // One CellWorld-sized cell: 320 radios on an infinite-range channel, each
+  // beaconing (CCA-gated) at jittered intervals. After warm-up the slot
+  // table, Tx pool, air log, resolution scratch and event queue are at
+  // steady state, and frames must not touch the heap.
+  struct Cell {
+    sim::Simulator sim{0xbeac};
+    radio::Channel channel{sim, {}};
+    std::vector<std::unique_ptr<radio::Radio>> radios;
+    std::uint64_t sent = 0;
+
+    void beacon(std::size_t i) {
+      radio::Radio& r = *radios[i];
+      if (!r.transmitting() && r.cca_clear()) {
+        radio::Frame f;
+        f.src = r.short_address();
+        r.transmit(std::move(f));
+        ++sent;
+      }
+      const auto gap = 50 * kMillisecond +
+                       static_cast<SimTime>(sim.rng().uniform_below(
+                           static_cast<std::uint64_t>(100 * kMillisecond)));
+      sim.schedule_after(gap, [this, i] { beacon(i); });
+    }
+  };
+  Cell cell;
+  constexpr std::size_t kRadios = 320;
+  for (std::size_t i = 0; i < kRadios; ++i) {
+    cell.radios.push_back(std::make_unique<radio::Radio>(
+        cell.channel, static_cast<NodeId>(i),
+        static_cast<radio::ShortAddr>(i + 1)));
+    cell.radios.back()->power_on();
+    const auto jitter = static_cast<SimTime>(cell.sim.rng().uniform_below(
+        static_cast<std::uint64_t>(100 * kMillisecond)));
+    cell.sim.schedule_after(jitter, [&cell, i] { cell.beacon(i); });
+  }
+  cell.sim.run_until(1000 * kMillisecond);  // warm-up
+
+  const std::uint64_t sent_before = cell.sent;
+  const std::uint64_t before = news();
+  cell.sim.run_until(2000 * kMillisecond);
+  EXPECT_EQ(news(), before) << "radio channel beacon traffic touched the heap";
+  EXPECT_GT(cell.sent - sent_before, 1000u);  // a saturated cell
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // superposition, address recognition, auto-ack, CCA/activity, energy.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
 #include <vector>
 
@@ -282,6 +283,138 @@ TEST(ChannelRadio, ClusterCountTracksResolvedClusters) {
   a.transmit(data_frame(10, kBroadcastAddr));
   w.sim.run();
   EXPECT_EQ(w.channel.clusters_resolved(), 2u);
+}
+
+TEST(ChannelRadio, SenderDestroyedMidFrameStillResolvesAtListeners) {
+  // The frame's end event must not notify the destroyed sender (a
+  // use-after-free before the channel cleared in-flight senders on
+  // detach); listeners resolve the busy period as usual.
+  World w;
+  w.add(0, 10);
+  auto& rx1 = w.add(1, 11);
+  auto& rx2 = w.add(2, 12);
+  std::vector<const Frame*> delivered;
+  int activity = 0;
+  for (Radio* rx : {&rx1, &rx2}) {
+    rx->set_receive_handler(
+        [&](const Frame& f, const RxInfo&) { delivered.push_back(&f); });
+    rx->set_activity_handler([&](SimTime, SimTime) { ++activity; });
+  }
+  w.radios[0]->transmit(data_frame(10, kBroadcastAddr));
+  w.radios[0].reset();
+  w.sim.run();
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(activity, 2);
+  EXPECT_EQ(w.channel.air_log_size(), 0u);
+  // The Tx went back to the pool: the next frame reuses its storage.
+  rx1.transmit(data_frame(11, kBroadcastAddr));
+  w.sim.run();
+  ASSERT_EQ(delivered.size(), 3u);
+  EXPECT_EQ(delivered[2], delivered[0]);
+}
+
+TEST(ChannelRadio, ListenerDestroyedMidBusyPeriodLeavesOthersResolving) {
+  World w;
+  auto& tx = w.add(0, 10);
+  w.add(1, 11);
+  auto& rx = w.add(2, 12);
+  std::vector<const Frame*> delivered;
+  rx.set_receive_handler(
+      [&](const Frame& f, const RxInfo&) { delivered.push_back(&f); });
+  tx.transmit(data_frame(10, kBroadcastAddr));
+  w.radios[1].reset();
+  EXPECT_FALSE(rx.cca_clear());
+  w.sim.run();
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(w.channel.air_log_size(), 0u);
+  tx.transmit(data_frame(10, kBroadcastAddr));
+  w.sim.run();
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(delivered[1], delivered[0]);
+}
+
+TEST(ChannelRadio, SlotsSurviveCompactionInAttachOrder) {
+  // Destroying most radios compacts the channel's slots and renumbers the
+  // survivors; CCA, delivery and attach-order resolution keep working.
+  World w;
+  for (NodeId i = 0; i < 8; ++i) w.add(i, static_cast<ShortAddr>(10 + i));
+  for (const std::size_t i : {0u, 1u, 3u, 4u, 6u}) w.radios[i].reset();
+  Radio& a = *w.radios[2];
+  Radio& b = *w.radios[5];
+  Radio& c = *w.radios[7];
+  std::vector<NodeId> order;
+  for (Radio* r : {&b, &c})
+    r->set_receive_handler([&order, r](const Frame&, const RxInfo&) {
+      order.push_back(r->owner());
+    });
+  a.transmit(data_frame(12, kBroadcastAddr));
+  EXPECT_FALSE(b.cca_clear());
+  EXPECT_FALSE(c.cca_clear());
+  w.sim.run();
+  EXPECT_EQ(order, (std::vector<NodeId>{5, 7}));
+  Radio& late = w.add(8, 18);  // attached after compaction
+  c.transmit(data_frame(17, kBroadcastAddr));
+  EXPECT_FALSE(late.cca_clear());
+  EXPECT_TRUE(c.cca_clear());  // a sender does not hear itself
+  w.sim.run();
+  EXPECT_EQ(late.frames_received(), 1u);
+}
+
+TEST(ChannelRadio, RadioAttachedMidFrameIgnoresThatFrame) {
+  World w;
+  auto& tx = w.add(0, 10);
+  tx.transmit(data_frame(10, kBroadcastAddr));
+  auto& late = w.add(1, 11);
+  EXPECT_TRUE(late.cca_clear());  // it was not listening when it started
+  w.sim.run();
+  EXPECT_EQ(late.frames_received(), 0u);
+  tx.transmit(data_frame(10, kBroadcastAddr));
+  w.sim.run();
+  EXPECT_EQ(late.frames_received(), 1u);
+}
+
+TEST(ChannelRadio, AirLogStaysBoundedWhenTheChannelNeverIdles) {
+  // Two hidden senders, each with a receiver beside it, alternate
+  // half-overlapping frames: the channel as a whole never goes idle, but
+  // every receiver's busy period closes after each frame, so the air log
+  // must be trimmed while busy rather than grow with the run.
+  ChannelConfig cfg;
+  cfg.range = 12.0;
+  World w(cfg);
+  std::array<Radio*, 2> senders{};
+  std::array<std::uint64_t, 2> heard{};
+  for (std::size_t i = 0; i < 2; ++i) {
+    senders[i] = &w.add(static_cast<NodeId>(2 * i),
+                        static_cast<ShortAddr>(10 + 2 * i));
+    senders[i]->set_position(100.0 * static_cast<double>(i), 0);
+    Radio& rx = w.add(static_cast<NodeId>(2 * i + 1),
+                      static_cast<ShortAddr>(11 + 2 * i));
+    rx.set_position(100.0 * static_cast<double>(i) + 5, 0);
+    rx.set_receive_handler(
+        [&heard, i](const Frame&, const RxInfo&) { ++heard[i]; });
+  }
+  const SimTime air = w.channel.airtime(data_frame(0, kBroadcastAddr));
+  const SimTime period = air + air / 4;  // gap < air/2: the other covers it
+  constexpr int kFrames = 3000;
+  for (int k = 0; k < kFrames; ++k)
+    for (std::size_t i = 0; i < 2; ++i)
+      w.sim.schedule_at(k * period + static_cast<SimTime>(i) * period / 2,
+                        [&w, s = senders[i]] {
+                          s->transmit(data_frame(s->short_address(),
+                                                 kBroadcastAddr));
+                        });
+  std::size_t max_log = 0;
+  while (w.sim.now() < kFrames * period) {
+    w.sim.run_until(w.sim.now() + period);
+    max_log = std::max(max_log, w.channel.air_log_size());
+    EXPECT_TRUE(w.channel.busy());
+  }
+  w.sim.run();
+  EXPECT_EQ(w.channel.clusters_resolved(), 1u);  // one global busy period
+  EXPECT_EQ(heard[0], kFrames);
+  EXPECT_EQ(heard[1], kFrames);
+  EXPECT_LE(max_log, 130u);
+  EXPECT_EQ(w.channel.air_log_size(), 0u);
 }
 
 }  // namespace

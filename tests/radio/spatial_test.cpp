@@ -211,5 +211,88 @@ TEST(Spatial, NeighbourRegionJamsRespondersNotInitiator) {
   EXPECT_FALSE(result.activity);
 }
 
+TEST(Spatial, MultihopTranscriptMatchesGolden) {
+  // Bit-identity pin for the finite-range channel: a 4x4 grid (10 m
+  // spacing, 15 m range: hidden terminals two hops apart) under random
+  // staggered traffic with clean loss, capture, HACK misses and broadcast
+  // ack requests (superposed HACKs). Every delivery with its RxInfo, every
+  // activity indication, the cluster count and the next RNG word are
+  // folded into the pins below, recorded from the per-receiver-frame-list
+  // channel the air-log channel replaced.
+  ChannelConfig cfg;
+  cfg.range = 15.0;
+  cfg.clean_loss = 0.1;
+  cfg.capture = std::make_shared<GeometricCaptureModel>(0.6, 0.5);
+  cfg.hack = HackReceptionModel(0.035, 0.25);
+  sim::Simulator sim(0x3417);
+  Channel channel(sim, cfg);
+
+  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a over words
+  const auto mix = [&hash](std::uint64_t v) {
+    hash = (hash ^ v) * 1099511628211ull;
+  };
+  std::uint64_t deliveries = 0, activities = 0;
+  constexpr std::size_t kSide = 4;
+  std::vector<std::unique_ptr<Radio>> radios;
+  for (std::size_t i = 0; i < kSide * kSide; ++i) {
+    auto& r = *radios.emplace_back(std::make_unique<Radio>(
+        channel, static_cast<NodeId>(i), static_cast<ShortAddr>(100 + i)));
+    r.set_position(10.0 * static_cast<double>(i % kSide),
+                   10.0 * static_cast<double>(i / kSide));
+    r.power_on();
+    r.set_receive_handler([&, i](const Frame& f, const RxInfo& info) {
+      ++deliveries;
+      for (const std::uint64_t v :
+           {std::uint64_t{i}, static_cast<std::uint64_t>(sim.now()),
+            std::uint64_t{f.src}, std::uint64_t{f.dest},
+            std::uint64_t{f.seq}, static_cast<std::uint64_t>(f.type),
+            std::uint64_t{info.superposed}, std::uint64_t{info.contenders},
+            std::uint64_t{info.captured},
+            static_cast<std::uint64_t>(info.start),
+            static_cast<std::uint64_t>(info.end)})
+        mix(v);
+    });
+    r.set_activity_handler([&, i](SimTime start, SimTime end) {
+      ++activities;
+      mix(i);
+      mix(static_cast<std::uint64_t>(start));
+      mix(static_cast<std::uint64_t>(end));
+    });
+  }
+
+  RngStream rng(0x77);
+  std::uint8_t seq = 0;
+  for (int burst = 0; burst < 300; ++burst) {
+    sim.run_until(sim.now() +
+                  static_cast<SimTime>(rng.uniform_below(3000)) + 1);
+    const auto senders = 1 + rng.uniform_below(3);
+    for (std::uint64_t s = 0; s < senders; ++s) {
+      const auto who =
+          static_cast<std::size_t>(rng.uniform_below(radios.size()));
+      if (radios[who]->transmitting()) continue;
+      Frame f;
+      f.src = static_cast<ShortAddr>(100 + who);
+      f.dest = rng.bernoulli(0.5)
+                   ? kBroadcastAddr
+                   : static_cast<ShortAddr>(
+                         100 + rng.uniform_below(radios.size()));
+      f.ack_request = rng.bernoulli(0.5);
+      f.seq = ++seq;
+      f.data.resize(4 + rng.uniform_below(24));
+      radios[who]->transmit(std::move(f));
+      if (rng.bernoulli(0.5))
+        sim.run_until(sim.now() +
+                      static_cast<SimTime>(rng.uniform_below(400)));
+    }
+  }
+  sim.run();
+
+  EXPECT_EQ(deliveries, 680u);
+  EXPECT_EQ(activities, 2571u);
+  EXPECT_EQ(hash, 0xca1dc6ed367dfca1ull);
+  EXPECT_EQ(channel.clusters_resolved(), 239u);
+  EXPECT_EQ(sim.rng().bits(), 0xd683191f8edb6d70ull);
+}
+
 }  // namespace
 }  // namespace tcast::radio

@@ -72,6 +72,38 @@ TEST(CellWorldDeterminism, DigestBitIdenticalAcrossWorkerCounts) {
   }
 }
 
+TEST(CellWorldDeterminism, FaultedWorldMatchesGoldenDigest) {
+  // Bit-identity pin, not only cross-worker agreement: these values were
+  // recorded from the per-receiver-frame-list channel this world ran on
+  // before the air-log channel replaced it. Any change to who hears what,
+  // to collision resolution, or to the order of RNG draws moves them.
+  CellWorldConfig cfg;
+  cfg.cells = 4;
+  cfg.motes_per_cell = 64;
+  cfg.seed = 0x601d;
+  cfg.duration = 100 * kMillisecond;
+  cfg.beacon_period = 40 * kMillisecond;
+  cfg.clean_loss = 0.05;
+  cfg.random_faults = 3;
+  const RunOutput out = run_world(cfg, nullptr);
+
+  // {sent, dropped, received, clusters, clock, rng_probe} per cell.
+  const std::vector<CellDigest> golden = {
+      {70, 71, 487, 88, 99926, 0xbcb390576ceaf43aull},
+      {85, 60, 1017, 95, 99891, 0x14ec9218e99c444aull},
+      {71, 63, 236, 86, 99926, 0xeff7cb0bec8adc7cull},
+      {84, 59, 898, 92, 99797, 0x04fd1ad79179f4f2ull},
+  };
+  EXPECT_EQ(out.digest.cells, golden);
+  EXPECT_EQ(out.digest.events, 4489u);
+  EXPECT_EQ(out.digest.messages, 626u);
+  const std::vector<AppliedFault> faults = {
+      {34320, 1, 62, true},  {34468, 3, 58, true},  {38922, 3, 22, true},
+      {48486, 3, 58, false}, {50013, 3, 22, false}, {55075, 1, 62, false},
+  };
+  EXPECT_EQ(out.digest.faults, faults);
+}
+
 TEST(CellWorldDeterminism, SeedChangesDigest) {
   const RunOutput a = run_world(small_world(0xD5), nullptr);
   const RunOutput b = run_world(small_world(0xD6), nullptr);
